@@ -6,8 +6,16 @@ call for every retired guest instruction.  This module removes that cost
 by *specialising* each decoded :class:`~repro.isa.instruction.Instruction`
 into a Python closure at decode/translation time: operands, immediates,
 sign-extension masks, branch targets and the bound memory accessors are
-pre-resolved into the closure's cell/default variables, so executing an
+pre-resolved into the closure's default variables, so executing an
 instruction is one argumentless call with no dispatch at all.
+
+The closures come from :data:`SEMANTICS`, one source template per SR32
+op (except ``SYSCALL``/``HALT``, which stay hand-written here).  The
+table is rendered twice: into one closure factory per op at import
+(:func:`compile_instr` is a dict lookup), and into constant-folded
+region lines by the tier-2 engine (:mod:`repro.machine.tier2`) at
+promotion.  Outside the oracle executor, each op's semantics is
+therefore written exactly once.
 
 Closures are grouped into :class:`Superblock` plans — straight-line runs
 executed as a flat list — and each plan precomputes its
@@ -28,20 +36,22 @@ Invariants the block layer relies on (see docs/performance.md):
   overshoot, callers execute a per-instruction prefix instead so runs
   stop at exactly the same retired count as the oracle engine.
 
-The oracle engine remains the single source of SR32 semantics; every
-closure here must match it bit-for-bit (enforced by
-tests/test_engine_differential.py).  Unusual cases — writes to ``r0``,
-loads into ``r0`` — fall back to a closure that simply calls the oracle
-executor, so unspecialised paths cannot drift.
+The oracle executor stays the independent, hand-written reference;
+both renderings of the table must match it bit-for-bit (enforced by
+tests/test_machine_engine.py and tests/test_engine_differential.py).
+Results for ``r0`` — ALU writes, loads into r0 — fall back to a
+closure that simply calls the oracle executor, so unspecialised paths
+cannot drift.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable
+import re
+from typing import Callable, NamedTuple
 
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import InstrClass, Op
+from repro.isa.opcodes import OP_TABLE, Fmt, InstrClass, Op
 from repro.isa.registers import REG_RA
 from repro.machine.cpu import CPUState, s32
 from repro.machine.executor import _sdiv, _srem, execute
@@ -82,6 +92,202 @@ def resolve_engine(engine: str | None) -> str:
     return engine
 
 
+class OpRule(NamedTuple):
+    """One SR32 op's semantics as a source template.
+
+    Both compiled tiers render these templates: the threaded tier into
+    one closure factory per op at import (:func:`compile_instr`), tier-2
+    into constant-folded region lines at promotion
+    (:func:`repro.machine.tier2.instr_source`).  Templates name
+    ``{rd}``/``{rs}``/``{rt}`` (the register an instruction field
+    selects), ``{ra}`` (the link register), ``{imm}`` (the immediate
+    after ``fold``), ``{npc}`` (the fall-through address) and the
+    constants ``{U32}``/``{SBIT}``; the callables they use are the keys
+    of :data:`MEM_ACCESSORS` and :data:`HELPERS`.
+    """
+
+    #: register field the statement writes; a result for r0 is left to
+    #: the oracle (threaded) or ends region eligibility (tier-2)
+    dest: str | None = None
+    #: statement executing a non-control op
+    stmt: str = ""
+    #: next-PC expression of a control transfer (``None``: falls through)
+    next: str | None = None
+    #: register field receiving the return address (a write to r0 is
+    #: dropped)
+    link: str | None = None
+    #: immediate folding ``(instr, pc) -> value`` (``None``: ``instr.imm``)
+    fold: Callable[[Instruction, int], int] | None = None
+
+
+def _shamt(instr: Instruction, pc: int) -> int:
+    return instr.shamt
+
+
+def _target(instr: Instruction, pc: int) -> int:
+    return instr.branch_target(pc)
+
+
+#: SR32 semantics for the compiled tiers, one entry per op except
+#: ``SYSCALL``/``HALT``.  Every rendering must match the oracle executor
+#: bit for bit (tests/test_machine_engine.py).
+SEMANTICS: dict[Op, OpRule] = {
+    # -- ALU register forms
+    Op.ADD: OpRule("rd", "{rd} = ({rs} + {rt}) & {U32}"),
+    Op.SUB: OpRule("rd", "{rd} = ({rs} - {rt}) & {U32}"),
+    Op.AND: OpRule("rd", "{rd} = {rs} & {rt}"),
+    Op.OR: OpRule("rd", "{rd} = {rs} | {rt}"),
+    Op.XOR: OpRule("rd", "{rd} = {rs} ^ {rt}"),
+    Op.NOR: OpRule("rd", "{rd} = ~({rs} | {rt}) & {U32}"),
+    # signed compare via bias: s32(a) < s32(b)  <=>  a^SBIT < b^SBIT
+    Op.SLT: OpRule("rd", "{rd} = 1 if ({rs} ^ {SBIT}) < ({rt} ^ {SBIT}) "
+                   "else 0"),
+    Op.SLTU: OpRule("rd", "{rd} = 1 if {rs} < {rt} else 0"),
+    # s32(a)*s32(b) is congruent to a*b mod 2^32
+    Op.MUL: OpRule("rd", "{rd} = ({rs} * {rt}) & {U32}"),
+    Op.DIV: OpRule("rd", "{rd} = _sdiv(_sx({rs}), _sx({rt})) & {U32}"),
+    Op.REM: OpRule("rd", "{rd} = _srem(_sx({rs}), _sx({rt})) & {U32}"),
+    Op.SLLV: OpRule("rd", "{rd} = ({rs} << ({rt} & 31)) & {U32}"),
+    Op.SRLV: OpRule("rd", "{rd} = {rs} >> ({rt} & 31)"),
+    Op.SRAV: OpRule("rd", "{rd} = (_sx({rs}) >> ({rt} & 31)) & {U32}"),
+    # -- shifts by immediate
+    Op.SLL: OpRule("rd", "{rd} = ({rt} << {imm}) & {U32}", fold=_shamt),
+    Op.SRL: OpRule("rd", "{rd} = {rt} >> {imm}", fold=_shamt),
+    Op.SRA: OpRule("rd", "{rd} = (_sx({rt}) >> {imm}) & {U32}", fold=_shamt),
+    # -- ALU immediate forms
+    Op.ADDI: OpRule("rt", "{rt} = ({rs} + {imm}) & {U32}"),
+    Op.ANDI: OpRule("rt", "{rt} = {rs} & {imm}"),
+    Op.ORI: OpRule("rt", "{rt} = {rs} | {imm}"),
+    Op.XORI: OpRule("rt", "{rt} = {rs} ^ {imm}"),
+    Op.SLTI: OpRule("rt", "{rt} = 1 if ({rs} ^ {SBIT}) < {imm} else 0",
+                    fold=lambda instr, pc: (instr.imm & U32) ^ _SBIT),
+    Op.SLTIU: OpRule("rt", "{rt} = 1 if {rs} < {imm} else 0",
+                     fold=lambda instr, pc: instr.imm & U32),
+    Op.LUI: OpRule("rt", "{rt} = {imm}",
+                   fold=lambda instr, pc: (instr.imm << 16) & U32),
+    # -- memory (sign extension ORs in 0xFFFFFF00 / 0xFFFF0000)
+    Op.LW: OpRule("rt", "{rt} = _mlw(({rs} + {imm}) & {U32})"),
+    Op.LB: OpRule("rt", "_t = _mlb(({rs} + {imm}) & {U32}); "
+                  "{rt} = _t | 4294967040 if _t & 0x80 else _t"),
+    Op.LBU: OpRule("rt", "{rt} = _mlb(({rs} + {imm}) & {U32})"),
+    Op.LH: OpRule("rt", "_t = _mlh(({rs} + {imm}) & {U32}); "
+                  "{rt} = _t | 4294901760 if _t & 0x8000 else _t"),
+    Op.LHU: OpRule("rt", "{rt} = _mlh(({rs} + {imm}) & {U32})"),
+    Op.SW: OpRule(None, "_msw(({rs} + {imm}) & {U32}, {rt})"),
+    Op.SB: OpRule(None, "_msb(({rs} + {imm}) & {U32}, {rt})"),
+    Op.SH: OpRule(None, "_msh(({rs} + {imm}) & {U32}, {rt})"),
+    # -- control
+    Op.BEQ: OpRule(next="{imm} if {rs} == {rt} else {npc}", fold=_target),
+    Op.BNE: OpRule(next="{imm} if {rs} != {rt} else {npc}", fold=_target),
+    Op.BLT: OpRule(next="{imm} if ({rs} ^ {SBIT}) < ({rt} ^ {SBIT}) "
+                   "else {npc}", fold=_target),
+    Op.BGE: OpRule(next="{imm} if ({rs} ^ {SBIT}) >= ({rt} ^ {SBIT}) "
+                   "else {npc}", fold=_target),
+    Op.BLTU: OpRule(next="{imm} if {rs} < {rt} else {npc}", fold=_target),
+    Op.BGEU: OpRule(next="{imm} if {rs} >= {rt} else {npc}", fold=_target),
+    Op.J: OpRule(next="{imm}", fold=_target),
+    Op.JAL: OpRule(next="{imm}", link="ra", fold=_target),
+    Op.JR: OpRule(next="{rs}"),
+    Op.JALR: OpRule(next="{rs}", link="rd"),
+    Op.RET: OpRule(next="{ra}"),
+}
+
+#: Template name -> :class:`Memory` method, for the accessors templates
+#: call.
+MEM_ACCESSORS = {
+    "_mlw": "load_word", "_mlh": "load_half", "_mlb": "load_byte",
+    "_msw": "store_word", "_msh": "store_half", "_msb": "store_byte",
+}
+
+#: Arithmetic helpers templates call.
+HELPERS = {"_sx": s32, "_sdiv": _sdiv, "_srem": _srem}
+
+#: Register operands per format in assembly order, the order closures
+#: take them as parameters; ``ra`` is the implicit link register.
+_FORMAT_OPERANDS = {
+    Fmt.R3: ("rd", "rs", "rt"), Fmt.SHIFT: ("rd", "rt"),
+    Fmt.I2: ("rt", "rs"), Fmt.LUI: ("rt",), Fmt.MEM: ("rt", "rs"),
+    Fmt.BR: ("rs", "rt"), Fmt.JR: ("rs",), Fmt.JALR: ("rd", "rs"),
+}
+
+#: The register operands each op reads or writes, in parameter order.
+OPERANDS: dict[Op, tuple[str, ...]] = {
+    op: tuple(
+        name for name in _FORMAT_OPERANDS.get(OP_TABLE[op].fmt, ()) + ("ra",)
+        if name == rule.link or f"{{{name}}}" in rule.stmt + (rule.next or "")
+    )
+    for op, rule in SEMANTICS.items()
+}
+
+#: How closures spell template fields: registers index the bound
+#: register file, constants are module globals, the rest are parameters.
+_CLOSURE_FIELDS = {
+    "rd": "regs[rd]", "rs": "regs[rs]", "rt": "regs[rt]",
+    "ra": "regs[REG_RA]", "imm": "imm", "npc": "npc", "link": "link",
+    "U32": "U32", "SBIT": "_SBIT",
+}
+
+_TOKEN_RE = re.compile(r"[A-Za-z_]\w*")
+
+
+def _closure_source(op: Op, rule: OpRule, linked: bool) -> list[str]:
+    """``def step(...)`` for one op shape; operands and constants are
+    bound as default arguments so every name the body touches is a fast
+    local."""
+    if rule.next is None:
+        lines = [rule.stmt, "return {npc}"]
+    else:
+        link = [f"{{{rule.link}}} = {{link}}"] if rule.link and linked else []
+        if link and rule.next != "{imm}":
+            # the target is read before the link write (rd == rs)
+            lines = [f"_npc = {rule.next}", *link, "return _npc"]
+        else:
+            lines = [*link, f"return {rule.next}"]
+    body = "\n".join(lines).format(**_CLOSURE_FIELDS)
+    names = set(_TOKEN_RE.findall(body))
+    binds = ["regs=cpu.regs"] if "regs" in names else []
+    binds += [f"{name}=instr.{name}" for name in OPERANDS[op] if name in names]
+    if "link" in names:
+        binds.append("link=(pc + 4) & U32")
+    if "imm" in names:
+        binds.append(f"imm=_fold_{op.name}(instr, pc)" if rule.fold
+                     else "imm=instr.imm")
+    binds += [f"{name}=mem.{method}" for name, method in MEM_ACCESSORS.items()
+              if name in names]
+    if "npc" in names:
+        binds.append("npc=(pc + 4) & U32")
+    binds += [f"{name}={name}" for name in
+              sorted(names.intersection(HELPERS), key=body.index)]
+    return [f"def step({', '.join(binds)}):",
+            *("    " + line for line in body.split("\n")), "return step"]
+
+
+def _factory_source(op: Op, rule: OpRule) -> str:
+    lines = []
+    if rule.dest is not None:
+        lines += [f"if not instr.{rule.dest}:", "    return None"]
+    elif rule.link not in (None, "ra"):
+        lines += [f"if not instr.{rule.link}:",
+                  *("    " + line for line in _closure_source(op, rule, False))]
+    lines += _closure_source(op, rule, True)
+    return "\n".join([f"def _make_{op.name}(pc, instr, cpu, mem):",
+                      *("    " + line for line in lines)])
+
+
+def _build_factories() -> dict[Op, Callable]:
+    """Render :data:`SEMANTICS` into one closure factory per op."""
+    ns = {"U32": U32, "_SBIT": _SBIT, "REG_RA": REG_RA, **HELPERS}
+    ns.update((f"_fold_{op.name}", rule.fold)
+              for op, rule in SEMANTICS.items() if rule.fold)
+    source = "\n\n".join(_factory_source(op, rule)
+                         for op, rule in SEMANTICS.items())
+    exec(compile(source, "<repro.machine.engine.SEMANTICS>", "exec"), ns)
+    return {op: ns[f"_make_{op.name}"] for op in SEMANTICS}
+
+
+_FACTORIES = _build_factories()
+
+
 def compile_instr(
     pc: int,
     instr: Instruction,
@@ -93,362 +299,31 @@ def compile_instr(
 
     The closure executes the instruction against the bound machine state
     and returns the next guest PC, exactly like the oracle executor.
-    Operands and constants are captured as default arguments so every
-    name the closure touches is a fast local.
     """
-    regs = cpu.regs
-    op = instr.op
-    rd, rs, rt = instr.rd, instr.rs, instr.rt
-    imm, shamt = instr.imm, instr.shamt
-    npc = (pc + 4) & U32
-
-    # Fallback for shapes not worth specialising (e.g. ALU writes to the
-    # hardwired-zero register, loads into r0): defer to the oracle so the
-    # semantics cannot diverge.  Side effects (faults) still occur.
-    def oracle(pc=pc, instr=instr, cpu=cpu, mem=mem, syscalls=syscalls):
-        cpu.pc = pc
-        return execute(instr, cpu, mem, syscalls)
-
-    # -- ALU register forms -------------------------------------------------
-    if op is Op.ADD:
-        if not rd:
-            return oracle
-
-        def step(regs=regs, rd=rd, rs=rs, rt=rt, npc=npc):
-            regs[rd] = (regs[rs] + regs[rt]) & U32
-            return npc
-        return step
-    if op is Op.ADDI:
-        if not rt:
-            return oracle
-
-        def step(regs=regs, rt=rt, rs=rs, imm=imm, npc=npc):
-            regs[rt] = (regs[rs] + imm) & U32
-            return npc
-        return step
-    if op is Op.SUB:
-        if not rd:
-            return oracle
-
-        def step(regs=regs, rd=rd, rs=rs, rt=rt, npc=npc):
-            regs[rd] = (regs[rs] - regs[rt]) & U32
-            return npc
-        return step
-    if op is Op.AND:
-        if not rd:
-            return oracle
-
-        def step(regs=regs, rd=rd, rs=rs, rt=rt, npc=npc):
-            regs[rd] = regs[rs] & regs[rt]
-            return npc
-        return step
-    if op is Op.OR:
-        if not rd:
-            return oracle
-
-        def step(regs=regs, rd=rd, rs=rs, rt=rt, npc=npc):
-            regs[rd] = regs[rs] | regs[rt]
-            return npc
-        return step
-    if op is Op.XOR:
-        if not rd:
-            return oracle
-
-        def step(regs=regs, rd=rd, rs=rs, rt=rt, npc=npc):
-            regs[rd] = regs[rs] ^ regs[rt]
-            return npc
-        return step
-    if op is Op.NOR:
-        if not rd:
-            return oracle
-
-        def step(regs=regs, rd=rd, rs=rs, rt=rt, npc=npc):
-            regs[rd] = ~(regs[rs] | regs[rt]) & U32
-            return npc
-        return step
-    if op is Op.SLT:
-        if not rd:
-            return oracle
-
-        # signed compare via bias: s32(a) < s32(b)  <=>  a^SBIT < b^SBIT
-        def step(regs=regs, rd=rd, rs=rs, rt=rt, npc=npc):
-            regs[rd] = 1 if (regs[rs] ^ _SBIT) < (regs[rt] ^ _SBIT) else 0
-            return npc
-        return step
-    if op is Op.SLTU:
-        if not rd:
-            return oracle
-
-        def step(regs=regs, rd=rd, rs=rs, rt=rt, npc=npc):
-            regs[rd] = 1 if regs[rs] < regs[rt] else 0
-            return npc
-        return step
-    if op is Op.MUL:
-        if not rd:
-            return oracle
-
-        # s32(a)*s32(b) is congruent to a*b mod 2^32
-        def step(regs=regs, rd=rd, rs=rs, rt=rt, npc=npc):
-            regs[rd] = (regs[rs] * regs[rt]) & U32
-            return npc
-        return step
-    if op is Op.DIV:
-        if not rd:
-            return oracle
-
-        def step(regs=regs, rd=rd, rs=rs, rt=rt, npc=npc,
-                 sdiv=_sdiv, sx=s32):
-            regs[rd] = sdiv(sx(regs[rs]), sx(regs[rt])) & U32
-            return npc
-        return step
-    if op is Op.REM:
-        if not rd:
-            return oracle
-
-        def step(regs=regs, rd=rd, rs=rs, rt=rt, npc=npc,
-                 srem=_srem, sx=s32):
-            regs[rd] = srem(sx(regs[rs]), sx(regs[rt])) & U32
-            return npc
-        return step
-
-    # -- ALU immediate forms ------------------------------------------------
-    if op is Op.ANDI:
-        if not rt:
-            return oracle
-
-        def step(regs=regs, rt=rt, rs=rs, imm=imm, npc=npc):
-            regs[rt] = regs[rs] & imm
-            return npc
-        return step
-    if op is Op.ORI:
-        if not rt:
-            return oracle
-
-        def step(regs=regs, rt=rt, rs=rs, imm=imm, npc=npc):
-            regs[rt] = regs[rs] | imm
-            return npc
-        return step
-    if op is Op.XORI:
-        if not rt:
-            return oracle
-
-        def step(regs=regs, rt=rt, rs=rs, imm=imm, npc=npc):
-            regs[rt] = regs[rs] ^ imm
-            return npc
-        return step
-    if op is Op.SLTI:
-        if not rt:
-            return oracle
-        biased = (imm & U32) ^ _SBIT
-
-        def step(regs=regs, rt=rt, rs=rs, biased=biased, npc=npc):
-            regs[rt] = 1 if (regs[rs] ^ _SBIT) < biased else 0
-            return npc
-        return step
-    if op is Op.SLTIU:
-        if not rt:
-            return oracle
-        uimm = imm & U32
-
-        def step(regs=regs, rt=rt, rs=rs, uimm=uimm, npc=npc):
-            regs[rt] = 1 if regs[rs] < uimm else 0
-            return npc
-        return step
-    if op is Op.LUI:
-        if not rt:
-            return oracle
-        value = (imm << 16) & U32
-
-        def step(regs=regs, rt=rt, value=value, npc=npc):
-            regs[rt] = value
-            return npc
-        return step
-
-    # -- shifts -------------------------------------------------------------
-    if op is Op.SLL:
-        if not rd:
-            return oracle
-
-        def step(regs=regs, rd=rd, rt=rt, sh=shamt, npc=npc):
-            regs[rd] = (regs[rt] << sh) & U32
-            return npc
-        return step
-    if op is Op.SRL:
-        if not rd:
-            return oracle
-
-        def step(regs=regs, rd=rd, rt=rt, sh=shamt, npc=npc):
-            regs[rd] = regs[rt] >> sh
-            return npc
-        return step
-    if op is Op.SRA:
-        if not rd:
-            return oracle
-
-        def step(regs=regs, rd=rd, rt=rt, sh=shamt, npc=npc, sx=s32):
-            regs[rd] = (sx(regs[rt]) >> sh) & U32
-            return npc
-        return step
-    if op is Op.SLLV:
-        if not rd:
-            return oracle
-
-        def step(regs=regs, rd=rd, rs=rs, rt=rt, npc=npc):
-            regs[rd] = (regs[rs] << (regs[rt] & 31)) & U32
-            return npc
-        return step
-    if op is Op.SRLV:
-        if not rd:
-            return oracle
-
-        def step(regs=regs, rd=rd, rs=rs, rt=rt, npc=npc):
-            regs[rd] = regs[rs] >> (regs[rt] & 31)
-            return npc
-        return step
-    if op is Op.SRAV:
-        if not rd:
-            return oracle
-
-        def step(regs=regs, rd=rd, rs=rs, rt=rt, npc=npc, sx=s32):
-            regs[rd] = (sx(regs[rs]) >> (regs[rt] & 31)) & U32
-            return npc
-        return step
-
-    # -- memory -------------------------------------------------------------
-    if op is Op.LW:
-        if not rt:
-            return oracle
-
-        def step(regs=regs, rt=rt, rs=rs, imm=imm, load=mem.load_word,
-                 npc=npc):
-            regs[rt] = load((regs[rs] + imm) & U32)
-            return npc
-        return step
-    if op is Op.SW:
-        def step(regs=regs, rt=rt, rs=rs, imm=imm, store=mem.store_word,
-                 npc=npc):
-            store((regs[rs] + imm) & U32, regs[rt])
-            return npc
-        return step
-    if op is Op.LB:
-        if not rt:
-            return oracle
-
-        def step(regs=regs, rt=rt, rs=rs, imm=imm, load=mem.load_byte,
-                 npc=npc):
-            value = load((regs[rs] + imm) & U32)
-            regs[rt] = value | 0xFFFFFF00 if value & 0x80 else value
-            return npc
-        return step
-    if op is Op.LBU:
-        if not rt:
-            return oracle
-
-        def step(regs=regs, rt=rt, rs=rs, imm=imm, load=mem.load_byte,
-                 npc=npc):
-            regs[rt] = load((regs[rs] + imm) & U32)
-            return npc
-        return step
-    if op is Op.LH:
-        if not rt:
-            return oracle
-
-        def step(regs=regs, rt=rt, rs=rs, imm=imm, load=mem.load_half,
-                 npc=npc):
-            value = load((regs[rs] + imm) & U32)
-            regs[rt] = value | 0xFFFF0000 if value & 0x8000 else value
-            return npc
-        return step
-    if op is Op.LHU:
-        if not rt:
-            return oracle
-
-        def step(regs=regs, rt=rt, rs=rs, imm=imm, load=mem.load_half,
-                 npc=npc):
-            regs[rt] = load((regs[rs] + imm) & U32)
-            return npc
-        return step
-    if op is Op.SB:
-        def step(regs=regs, rt=rt, rs=rs, imm=imm, store=mem.store_byte,
-                 npc=npc):
-            store((regs[rs] + imm) & U32, regs[rt])
-            return npc
-        return step
-    if op is Op.SH:
-        def step(regs=regs, rt=rt, rs=rs, imm=imm, store=mem.store_half,
-                 npc=npc):
-            store((regs[rs] + imm) & U32, regs[rt])
-            return npc
-        return step
-
-    # -- control ------------------------------------------------------------
-    if op in (Op.BEQ, Op.BNE, Op.BLT, Op.BGE, Op.BLTU, Op.BGEU):
-        tgt = instr.branch_target(pc)
-        if op is Op.BEQ:
-            def step(regs=regs, rs=rs, rt=rt, tgt=tgt, npc=npc):
-                return tgt if regs[rs] == regs[rt] else npc
-        elif op is Op.BNE:
-            def step(regs=regs, rs=rs, rt=rt, tgt=tgt, npc=npc):
-                return tgt if regs[rs] != regs[rt] else npc
-        elif op is Op.BLT:
-            def step(regs=regs, rs=rs, rt=rt, tgt=tgt, npc=npc):
-                return tgt if (regs[rs] ^ _SBIT) < (regs[rt] ^ _SBIT) else npc
-        elif op is Op.BGE:
-            def step(regs=regs, rs=rs, rt=rt, tgt=tgt, npc=npc):
-                return tgt if (regs[rs] ^ _SBIT) >= (regs[rt] ^ _SBIT) else npc
-        elif op is Op.BLTU:
-            def step(regs=regs, rs=rs, rt=rt, tgt=tgt, npc=npc):
-                return tgt if regs[rs] < regs[rt] else npc
-        else:  # BGEU
-            def step(regs=regs, rs=rs, rt=rt, tgt=tgt, npc=npc):
-                return tgt if regs[rs] >= regs[rt] else npc
-        return step
-    if op is Op.J:
-        tgt = instr.branch_target(pc)
-
-        def step(tgt=tgt):
-            return tgt
-        return step
-    if op is Op.JAL:
-        tgt = instr.branch_target(pc)
-
-        def step(regs=regs, ra=npc, tgt=tgt):
-            regs[REG_RA] = ra
-            return tgt
-        return step
-    if op is Op.JR:
-        def step(regs=regs, rs=rs):
-            return regs[rs]
-        return step
-    if op is Op.JALR:
-        if not rd:
-            def step(regs=regs, rs=rs):
-                return regs[rs]
+    make = _FACTORIES.get(instr.op)
+    if make is not None:
+        step = make(pc, instr, cpu, mem)
+        if step is not None:
             return step
-
-        # target is read before the link write, as in the oracle (rd == rs)
-        def step(regs=regs, rd=rd, rs=rs, ra=npc):
-            target = regs[rs]
-            regs[rd] = ra
-            return target
-        return step
-    if op is Op.RET:
-        def step(regs=regs):
-            return regs[REG_RA]
-        return step
-    if op is Op.SYSCALL:
-        def step(dispatch=syscalls.dispatch, cpu=cpu, mem=mem, npc=npc):
+    elif instr.op is Op.SYSCALL:
+        def step(dispatch=syscalls.dispatch, cpu=cpu, mem=mem,
+                 npc=(pc + 4) & U32):
             dispatch(cpu, mem)
             return npc
         return step
-    if op is Op.HALT:
+    elif instr.op is Op.HALT:
         def step(syscalls=syscalls, pc=pc):
             if syscalls.exit_code is None:
                 syscalls.exit_code = 0
             return pc  # halt spins; run loops stop on `exited`
         return step
 
-    return oracle  # pragma: no cover - exhaustive over Op
+    # A result for r0: defer to the oracle so the semantics cannot
+    # diverge.  Side effects (faults) still occur.
+    def oracle(pc=pc, instr=instr, cpu=cpu, mem=mem, syscalls=syscalls):
+        cpu.pc = pc
+        return execute(instr, cpu, mem, syscalls)
+    return oracle
 
 
 class Superblock:
@@ -546,17 +421,6 @@ class Superblock:
             f"Superblock(entry={self.entry_pc:#x}, n={self.n}, "
             f"term={self.term_iclass.value})"
         )
-
-
-def compile_block(
-    pairs: list[tuple[int, Instruction]],
-    cpu: CPUState,
-    mem: Memory,
-    syscalls: SyscallHandler,
-    class_cycles: dict[InstrClass, int] | None = None,
-) -> Superblock:
-    """Compile ``(pc, instruction)`` pairs into a :class:`Superblock`."""
-    return Superblock(pairs, cpu, mem, syscalls, class_cycles=class_cycles)
 
 
 def native_exit_event(model, block: Superblock, next_pc: int) -> None:

@@ -269,7 +269,7 @@ class Interpreter:
                         next_pc = fn()
                         k += 1
                 except BaseException:
-                    self._flush_partial(block, k, model)
+                    self._flush_partial(block.pcs, block.iclasses, k)
                     raise
                 self.retired += n
                 remaining -= n
@@ -310,18 +310,19 @@ class Interpreter:
             self.retired += k
         cpu.pc = block.pcs[limit] if limit < block.n else block.pcs[-1]
 
-    def _flush_partial(self, block: Superblock, k: int, model) -> None:
+    def _flush_partial(self, pcs, iclasses, k: int) -> None:
         """Account a block's first ``k`` instructions after a fault."""
         self.retired += k
         if self.count_classes:
             counts = self.iclass_counts
-            for iclass in block.iclasses[:k]:
+            for iclass in iclasses[:k]:
                 counts[iclass] += 1
-        if model is not None:
-            for iclass in block.iclasses[:k]:
+        if self.observer is not None:
+            model = self.observer.model
+            for iclass in iclasses[:k]:
                 model.charge_instr(iclass)
         # leave cpu.pc on the faulting instruction, like the oracle loop
-        self.cpu.pc = block.pcs[min(k, block.n - 1)]
+        self.cpu.pc = pcs[min(k, len(pcs) - 1)]
 
 
 def run_program(

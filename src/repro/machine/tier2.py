@@ -11,13 +11,20 @@ single Python function of straight-line source:
 - guest registers become Python locals (``r5``), loaded once at region
   entry and spilled at every exit, so a loop iteration touches no
   register file at all;
-- immediates, branch targets, sign-extension masks and r0 reads are
-  constant-folded into the source;
+- each instruction is one line rendered from the same per-op template
+  table the threaded closures come from
+  (:data:`repro.machine.engine.SEMANTICS`), with immediates, branch
+  targets and r0 reads constant-folded into the text;
 - block-level accounting is preserved exactly: one
   ``HostModel.charge_block`` and one class-count commit per block, and
   the same predictor events at the same sites as the tier below;
 - region exits fuse the tier-1 exit protocol (link following, return
   bookkeeping, IBTC/sieve dispatch) directly into the generated code.
+
+Both hosts — the SDT (:class:`Tier2Runtime`) and the reference
+interpreter (:class:`InterpreterTier2`) — share the body generator, the
+:class:`Region` class and its fault recovery; each keeps its own growth
+policy and exit protocol.
 
 **Deoptimization.**  Guards at every block boundary keep the tiers
 architecturally indistinguishable: a fuel guard (the next block would
@@ -29,11 +36,11 @@ slow path replays it with per-instruction fuel/exit semantics and the
 run stops, faults and charges exactly like the oracle engine.
 
 **Fault replay.**  Generated source has exactly one line per guest
-instruction, recorded in a line table.  When a body line raises, the
-recovery path reads the region frame's locals out of the traceback
-(registers), accounts the partially executed block per instruction and
-leaves ``cpu.pc`` on the faulting instruction — byte-for-byte what
-``_flush_partial`` does in the tiers below — then re-raises.
+instruction, recorded in a line table.  When a body line raises,
+:meth:`Region.recover` reads the region frame's locals out of the
+traceback (registers) and hands the partially executed block to the
+host's own ``_flush_partial``, which accounts it per instruction and
+leaves ``cpu.pc`` on the faulting instruction; then the fault re-raises.
 
 Regions never survive code mutation: the SDT runtime discards any region
 holding an invalidated fragment (wired into
@@ -42,23 +49,29 @@ cache flush; the interpreter runtime discards regions overlapping any
 watched-page write.  Promotion state is profile data, not architecture,
 so ``engine="tier2"`` stays fingerprint-exempt like the other engines.
 
-Tuning knobs (environment): ``REPRO_TIER2_THRESHOLD`` (promotions occur
-once a block has executed this many times, default 64) and
-``REPRO_TIER2_MAX_BLOCKS`` (region length cap, default 8).
+Promotions occur once a block has executed ``REPRO_TIER2_THRESHOLD``
+times (default 64); a region holds at most :data:`MAX_REGION_BLOCKS`
+blocks.
 """
 
 from __future__ import annotations
 
 import os
-import re
 from typing import TYPE_CHECKING
 
 from repro.host.costs import Category
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import CONTROL_CLASSES, InstrClass, Op
 from repro.isa.registers import REG_RA
-from repro.machine.cpu import s32
-from repro.machine.executor import _sdiv, _srem
+from repro.machine.engine import (
+    _SBIT,
+    _TOKEN_RE,
+    HELPERS,
+    MEM_ACCESSORS,
+    OPERANDS,
+    SEMANTICS,
+    U32,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.machine.engine import Superblock
@@ -66,25 +79,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.sdt.fragment import Fragment
     from repro.sdt.vm import SDTVM
 
-U32 = 0xFFFFFFFF
-_SBIT = 0x8000_0000
-
 #: Block executions before a promotion attempt (``REPRO_TIER2_THRESHOLD``).
 DEFAULT_PROMOTE_THRESHOLD = 64
 
-#: Maximum blocks per region (``REPRO_TIER2_MAX_BLOCKS``).
-DEFAULT_MAX_BLOCKS = 8
+#: Maximum blocks per region.
+MAX_REGION_BLOCKS = 8
 
 
 def promote_threshold() -> int:
     """Promotion threshold, overridable for tests/experiments."""
     return int(os.environ.get("REPRO_TIER2_THRESHOLD",
                               DEFAULT_PROMOTE_THRESHOLD))
-
-
-def max_region_blocks() -> int:
-    """Region size cap, overridable for tests/experiments."""
-    return int(os.environ.get("REPRO_TIER2_MAX_BLOCKS", DEFAULT_MAX_BLOCKS))
 
 
 # -- per-instruction source generation ---------------------------------------
@@ -94,168 +99,77 @@ def _read(reg: int) -> str:
     return "0" if reg == 0 else f"r{reg}"
 
 
-#: Source templates, built once at import.  ``instr_source`` runs for
-#: every instruction of every promotion candidate, so it must not build
-#: expression tables per call — it fills exactly one template.
-_MEM_TPL = {
-    Op.LW: "r{t} = _mlw({addr})",
-    Op.LBU: "r{t} = _mlb({addr})",
-    Op.LHU: "r{t} = _mlh({addr})",
-    Op.LB: f"_t = _mlb({{addr}}); "
-    f"r{{t}} = _t | {0xFFFFFF00} if _t & 0x80 else _t",
-    Op.LH: f"_t = _mlh({{addr}}); "
-    f"r{{t}} = _t | {0xFFFF0000} if _t & 0x8000 else _t",
-}
-_STORE_TPL = {
-    Op.SW: "_msw({addr}, {b})",
-    Op.SB: "_msb({addr}, {b})",
-    Op.SH: "_msh({addr}, {b})",
-}
-_ALU_IMM_TPL = {
-    Op.ADDI: f"r{{t}} = ({{a}} + {{imm}}) & {U32}",
-    Op.ANDI: "r{t} = {a} & {imm}",
-    Op.ORI: "r{t} = {a} | {imm}",
-    Op.XORI: "r{t} = {a} ^ {imm}",
-}
-_ALU_R3_TPL = {
-    Op.ADD: f"r{{d}} = ({{a}} + {{b}}) & {U32}",
-    Op.SUB: f"r{{d}} = ({{a}} - {{b}}) & {U32}",
-    Op.AND: "r{d} = {a} & {b}",
-    Op.OR: "r{d} = {a} | {b}",
-    Op.XOR: "r{d} = {a} ^ {b}",
-    Op.NOR: f"r{{d}} = ~({{a}} | {{b}}) & {U32}",
-    Op.SLT: f"r{{d}} = 1 if ({{a}} ^ {_SBIT}) < ({{b}} ^ {_SBIT}) else 0",
-    Op.SLTU: "r{d} = 1 if {a} < {b} else 0",
-    Op.MUL: f"r{{d}} = ({{a}} * {{b}}) & {U32}",
-    Op.DIV: f"r{{d}} = _sdiv(_sx({{a}}), _sx({{b}})) & {U32}",
-    Op.REM: f"r{{d}} = _srem(_sx({{a}}), _sx({{b}})) & {U32}",
-    Op.SLLV: f"r{{d}} = ({{a}} << ({{b}} & 31)) & {U32}",
-    Op.SRLV: "r{d} = {a} >> ({b} & 31)",
-    Op.SRAV: f"r{{d}} = (_sx({{a}}) >> ({{b}} & 31)) & {U32}",
-}
-_SHIFT_TPL = {
-    Op.SLL: f"r{{d}} = ({{b}} << {{sh}}) & {U32}",
-    Op.SRL: "r{d} = {b} >> {sh}",
-    Op.SRA: f"r{{d}} = (_sx({{b}}) >> {{sh}}) & {U32}",
-}
-
-
 def instr_source(
     pc: int, instr: Instruction
-) -> tuple[str, set[int], int] | None:
-    """One source line for a non-terminator instruction, the non-zero
-    registers it touches, and the register it writes (0 for stores) — or
-    ``None`` when the shape is not specialisable (writes to r0,
-    syscalls) and the block must stay on the tiers below.
-
-    Every line matches :func:`repro.machine.engine.compile_instr` (and
-    therefore the oracle executor) bit for bit; fault side effects occur
-    at the same point in the same order.  Template groups are probed in
-    rough frequency order (memory + ALU-imm dominate block bodies).
-    """
-    op = instr.op
-    rd, rs, rt = instr.rd, instr.rs, instr.rt
-    imm = instr.imm
-
-    tpl = _MEM_TPL.get(op)
-    if tpl is not None:
-        if not rt:
-            return None
-        addr = f"({_read(rs)} + {imm}) & {U32}"
-        return tpl.format(t=rt, addr=addr), {rs, rt} - {0}, rt
-    tpl = _STORE_TPL.get(op)
-    if tpl is not None:
-        addr = f"({_read(rs)} + {imm}) & {U32}"
-        return tpl.format(addr=addr, b=_read(rt)), {rs, rt} - {0}, 0
-    tpl = _ALU_IMM_TPL.get(op)
-    if tpl is not None:
-        if not rt:
-            return None
-        return tpl.format(t=rt, a=_read(rs), imm=imm), {rs, rt} - {0}, rt
-    tpl = _ALU_R3_TPL.get(op)
-    if tpl is not None:
-        if not rd:
-            return None
-        return (tpl.format(d=rd, a=_read(rs), b=_read(rt)),
-                {rs, rt, rd} - {0}, rd)
-    tpl = _SHIFT_TPL.get(op)
-    if tpl is not None:
-        if not rd:
-            return None
-        return (tpl.format(d=rd, b=_read(rt), sh=instr.shamt),
-                {rt, rd} - {0}, rd)
-
-    if op is Op.SLTI:
-        if not rt:
-            return None
-        return (f"r{rt} = 1 if ({_read(rs)} ^ {_SBIT}) < "
-                f"{(imm & U32) ^ _SBIT} else 0", {rs, rt} - {0}, rt)
-    if op is Op.SLTIU:
-        if not rt:
-            return None
-        return (f"r{rt} = 1 if {_read(rs)} < {imm & U32} else 0",
-                {rs, rt} - {0}, rt)
-    if op is Op.LUI:
-        if not rt:
-            return None
-        return f"r{rt} = {(imm << 16) & U32}", {rt}, rt
-
-    if op is Op.J:
-        # mid-body direct jump (trace_jumps inlining): the successor
-        # instructions follow in the same block, so the jump itself is
-        # architecturally a no-op here — it still retires and counts.
-        return "pass", set(), 0
-
-    return None  # control terminators, SYSCALL, HALT: not a body shape
-
-
-_BRANCH_CONDS = {
-    Op.BEQ: "{a} == {b}",
-    Op.BNE: "{a} != {b}",
-    Op.BLT: "({a} ^ %d) < ({b} ^ %d)" % (_SBIT, _SBIT),
-    Op.BGE: "({a} ^ %d) >= ({b} ^ %d)" % (_SBIT, _SBIT),
-    Op.BLTU: "{a} < {b}",
-    Op.BGEU: "{a} >= {b}",
-}
-
-
-def term_source(
-    pc: int, instr: Instruction
 ) -> tuple[str, str, set[int], int] | None:
-    """Source for a control terminator:
-    (line, next-pc expression, regs, written register).
+    """Render one instruction from :data:`~repro.machine.engine.SEMANTICS`.
 
-    The line executes the instruction's register effects and, where the
-    successor is dynamic, assigns ``_npc``; the returned expression is
-    the next guest PC *after* the line ran.  ``None`` marks terminators
-    that end tier-2 eligibility (``SYSCALL``/``HALT``).
+    Returns ``(line, next-pc expression, registers, written register)``:
+    the line executes the instruction, assigning ``_npc`` where the
+    successor is dynamic; the expression is the next guest PC *after*
+    the line ran; the registers are the non-zero ones the line touches
+    and the written register is 0 when none is.  ``None`` marks shapes
+    that stay on the tiers below: ``SYSCALL``/``HALT`` and results for
+    r0.  Fault side effects occur at the same point as in the oracle.
     """
-    op = instr.op
+    rule = SEMANTICS.get(instr.op)
+    if rule is None:
+        return None
+    regs = {"rd": instr.rd, "rs": instr.rs, "rt": instr.rt, "ra": REG_RA}
     npc = (pc + 4) & U32
-    cond = _BRANCH_CONDS.get(op)
-    if cond is not None:
-        tgt = instr.branch_target(pc)
-        test = cond.format(a=_read(instr.rs), b=_read(instr.rt))
-        line = f"_npc = {tgt} if {test} else {npc}"
-        return line, "_npc", {instr.rs, instr.rt} - {0}, 0
-    if op is Op.J:
-        return "pass", str(instr.branch_target(pc)), set(), 0
-    if op is Op.JAL:
-        return (f"r{REG_RA} = {npc}", str(instr.branch_target(pc)),
-                {REG_RA}, REG_RA)
-    if op is Op.JR:
-        return (f"_npc = {_read(instr.rs)}", "_npc",
-                {instr.rs} - {0}, 0)
-    if op is Op.JALR:
-        regs = {instr.rs} - {0}
-        if not instr.rd:
-            return f"_npc = {_read(instr.rs)}", "_npc", regs, 0
-        # target is read before the link write (rd == rs case)
-        return (f"_npc = {_read(instr.rs)}; r{instr.rd} = {npc}",
-                "_npc", regs | {instr.rd}, instr.rd)
-    if op is Op.RET:
-        return f"_npc = r{REG_RA}", "_npc", {REG_RA}, 0
-    return None  # SYSCALL / HALT
+    imm = rule.fold(instr, pc) if rule.fold else instr.imm
+    fields = {name: _read(reg) for name, reg in regs.items()}
+    fields.update(imm=imm, npc=npc, link=npc, U32=U32, SBIT=_SBIT)
+    if rule.next is None:
+        written = regs[rule.dest] if rule.dest else 0
+        if rule.dest and not written:
+            return None
+        line, npc_expr = rule.stmt.format(**fields), str(npc)
+    else:
+        written = regs[rule.link] if rule.link else 0
+        stmts = [f"{{{rule.link}}} = {{link}}"] if written else []
+        if rule.next == "{imm}":
+            npc_expr = str(imm)
+        else:
+            # a dynamic successor lands in _npc, read before any link
+            # write (rd == rs)
+            stmts.insert(0, f"_npc = {rule.next}")
+            npc_expr = "_npc"
+        line = "; ".join(stmts).format(**fields) or "pass"
+    used = {regs[name] for name in OPERANDS[instr.op]} - {0}
+    return line, npc_expr, used, written
+
+
+def _body(pairs: list[tuple[int, Instruction]]):
+    """Eligibility check and body codegen in a single walk over a block.
+
+    Returns ``(lines, npc_expr, used_regs, written_regs)`` — the
+    per-instruction source lines (with their in-block index ``k``), the
+    expression for the next guest PC after the last instruction, the
+    non-zero registers the body touches and the subset it writes — or
+    ``None`` when the block must stay on the threaded tier.  Only the
+    last instruction may transfer control, except a direct jump inlined
+    mid-block (trace_jumps): its successors follow in the same block, so
+    it still retires and counts but runs as ``pass``.
+    """
+    lines: list[tuple[str, int]] = []
+    used: set[int] = set()
+    written: set[int] = set()
+    last = len(pairs) - 1
+    npc_expr = ""
+    for k, (pc, instr) in enumerate(pairs):
+        if (k < last and instr.op is not Op.J
+                and instr.iclass in CONTROL_CLASSES):
+            return None
+        gen = instr_source(pc, instr)
+        if gen is None:
+            return None
+        line, npc_expr, regs, wr = gen
+        used |= regs
+        if wr:
+            written.add(wr)
+        lines.append((line, k))
+    return lines, npc_expr, used, written
 
 
 def _join(*parts: str) -> str:
@@ -263,28 +177,9 @@ def _join(*parts: str) -> str:
     return "; ".join(part for part in parts if part)
 
 
-class _SourceBuilder:
-    """Accumulates numbered source lines plus the body line table."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.lines: list[str] = []
-        self.line_table: dict[int, tuple[int, int]] = {}
-
-    def add(self, indent: int, text: str,
-            member: int | None = None, k: int | None = None) -> None:
-        self.lines.append(" " * indent + text)
-        if member is not None:
-            self.line_table[len(self.lines)] = (member, k)
-
-    def source(self) -> str:
-        return "\n".join(self.lines) + "\n"
-
-
 #: Hot callables bound as default arguments (body-line speed); everything
 #: colder resolves through the generated function's globals.
-_HOT_DEFAULTS = ("_mlw", "_mlh", "_mlb", "_msw", "_msh", "_msb",
-                 "_sx", "_sdiv", "_srem")
+_HOT_DEFAULTS = (*MEM_ACCESSORS, *HELPERS)
 
 
 def _def_line(extra: str = "") -> str:
@@ -293,8 +188,6 @@ def _def_line(extra: str = "") -> str:
 
 
 _HOT_SET = frozenset(_HOT_DEFAULTS)
-
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def _extra_binds(ns: dict, body: str) -> str:
@@ -332,12 +225,10 @@ def _compile_cached(source: str, filename: str):
 
 
 def _base_namespace(mem) -> dict:
-    return {
-        "_mlw": mem.load_word, "_mlh": mem.load_half, "_mlb": mem.load_byte,
-        "_msw": mem.store_word, "_msh": mem.store_half,
-        "_msb": mem.store_byte,
-        "_sx": s32, "_sdiv": _sdiv, "_srem": _srem,
-    }
+    """The template callables, bound to ``mem``."""
+    ns = {name: getattr(mem, method) for name, method in MEM_ACCESSORS.items()}
+    ns.update(HELPERS)
+    return ns
 
 
 def _spill(used: list[int]) -> str:
@@ -357,26 +248,101 @@ def _class_commit(class_counts) -> str:
     )
 
 
-def _recover_frame(region, exc):
-    """Locate the region frame in a traceback and map its faulting line.
+class Region:
+    """A compiled region: the function plus fault-recovery metadata."""
 
-    Returns ``(member_index, k, frame_locals)`` for a fault raised on a
-    body line, or ``None`` when the exception came from an exit call
-    after the state was already spilled and committed.
+    __slots__ = ("fn", "members", "filename", "line_table", "used_regs",
+                 "member_meta", "source")
+
+    def __init__(self, fn, members, filename, line_table, used_regs,
+                 member_meta, source):
+        self.fn = fn
+        self.members = members
+        self.filename = filename
+        self.line_table = line_table
+        self.used_regs = used_regs
+        #: per-member ``(pcs, iclasses)`` snapshots for fault replay —
+        #: snapshots, not live plans, because a store inside the region
+        #: may invalidate a member (clearing its plan) before a later
+        #: instruction faults
+        self.member_meta = member_meta
+        self.source = source
+
+    def recover(self, exc: BaseException, regs: list[int],
+                flush_partial) -> None:
+        """Replay a fault raised inside the region like the tiers below.
+
+        Restores ``regs`` from the region frame's locals, then calls the
+        host's ``flush_partial(pcs, iclasses, k)`` for the faulting
+        block.  An exception raised by an exit call, after the state was
+        already spilled and committed, needs nothing.
+        """
+        tb = exc.__traceback__
+        hit = None
+        while tb is not None:
+            if tb.tb_frame.f_code.co_filename == self.filename:
+                hit = tb
+            tb = tb.tb_next
+        if hit is None:
+            return
+        entry = self.line_table.get(hit.tb_lineno)
+        if entry is None:
+            return
+        member_idx, k = entry
+        frame_locals = hit.tb_frame.f_locals
+        for reg in self.used_regs:
+            value = frame_locals.get(f"r{reg}")
+            if value is not None:
+                regs[reg] = value
+        pcs, iclasses = self.member_meta[member_idx]
+        flush_partial(pcs, iclasses, k)
+
+
+class _RegionBuilder:
+    """Numbered region source: register loads, the loop header, member
+    bodies with their line table, then :meth:`finish` compiles it.
+
+    ``host_ns`` holds the host's exit-protocol names; the builder adds
+    the template callables before and the ``InstrClass`` members after
+    them, and callers add per-member names to :attr:`ns` as they emit.
     """
-    tb = exc.__traceback__
-    hit = None
-    while tb is not None:
-        if tb.tb_frame.f_code.co_filename == region.filename:
-            hit = tb
-        tb = tb.tb_next
-    if hit is None:
-        return None
-    entry = region.line_table.get(hit.tb_lineno)
-    if entry is None:
-        return None
-    member_idx, k = entry
-    return member_idx, k, hit.tb_frame.f_locals
+
+    def __init__(self, filename: str, mem, host_ns: dict, bodies,
+                 loop: bool):
+        used: set[int] = set()
+        written: set[int] = set()
+        for _lines, _npc, regs, wregs in bodies:
+            used |= regs
+            written |= wregs
+        self.filename = filename
+        self.order = sorted(used)
+        self.spill = _spill(sorted(written))
+        self.ns = _base_namespace(mem)
+        self.ns.update(host_ns)
+        for iclass in InstrClass:
+            self.ns[f"_ic_{iclass.name}"] = iclass
+        self.lines = [""]  # def line patched in once the body names are known
+        self.line_table: dict[int, tuple[int, int]] = {}
+        self.indent = 4
+        self.add(_loads(self.order))
+        if loop:
+            self.add("while True:")
+            self.indent = 8
+
+    def add(self, text: str, member: int | None = None,
+            k: int | None = None) -> None:
+        self.lines.append(" " * self.indent + text)
+        if member is not None:
+            self.line_table[len(self.lines)] = (member, k)
+
+    def finish(self, members, plans) -> Region:
+        self.lines[0] = _def_line(
+            _extra_binds(self.ns, "\n".join(self.lines[1:])))
+        source = "\n".join(self.lines) + "\n"
+        exec(_compile_cached(source, self.filename), self.ns)
+        member_meta = tuple((plan.pcs, plan.iclasses) for plan in plans)
+        return Region(self.ns["_region"], list(members), self.filename,
+                      self.line_table, self.order, member_meta, source)
 
 
 # -- SDT regions --------------------------------------------------------------
@@ -416,51 +382,23 @@ def _boundary_deopt(vm: "SDTVM", frag, key: str, nxt, nxt_n: int):
     return _db
 
 
-class SDTRegion:
-    """A compiled SDT region: the function plus recovery metadata."""
-
-    __slots__ = ("fn", "members", "filename", "line_table", "used_regs",
-                 "member_meta", "source")
-
-    def __init__(self, fn, members, filename, line_table, used_regs,
-                 member_meta, source):
-        self.fn = fn
-        self.members = members
-        self.filename = filename
-        self.line_table = line_table
-        self.used_regs = used_regs
-        #: per-member ``(pcs, iclasses)`` snapshots for fault replay —
-        #: snapshots, not live plans, because a store inside the region
-        #: may invalidate a member (clearing its plan) before a later
-        #: instruction faults
-        self.member_meta = member_meta
-        self.source = source
-
-
 class Tier2Runtime:
     """Per-VM tier-2 state: promotion, execution, discard hooks."""
 
     def __init__(self, vm: "SDTVM"):
         self.vm = vm
         self.threshold = promote_threshold()
-        self.max_blocks = max_region_blocks()
         #: id(head fragment) -> region
-        self._regions: dict[int, SDTRegion] = {}
+        self._regions: dict[int, Region] = {}
         #: id(member fragment) -> regions containing it
-        self._by_member: dict[int, list[SDTRegion]] = {}
+        self._by_member: dict[int, list[Region]] = {}
         vm.cache.on_flush(self.on_flush)
 
     # -- promotion -----------------------------------------------------------
 
     def _probe(self, fragment: "Fragment"):
-        """Eligibility check and body codegen in a single walk.
-
-        Returns ``(lines, npc_expr, used_regs, written_regs)`` — the
-        per-instruction source lines (with their in-block index ``k``),
-        the expression for the next guest PC after the terminator, the
-        non-zero registers the body touches and the subset it writes —
-        or ``None`` when the fragment must stay on the threaded tier.
-        """
+        """Region body of ``fragment`` (see :func:`_body`), or ``None``
+        when the fragment must stay on the threaded tier."""
         from repro.sdt.fragment import ExitKind
 
         plan = fragment.plan
@@ -472,27 +410,7 @@ class Tier2Runtime:
             fragment.guest_pc, fragment.instrs
         ):
             return None
-        lines: list[tuple[str, int]] = []
-        used: set[int] = set()
-        written: set[int] = set()
-        last = len(fragment.instrs) - 1
-        npc_expr = str((fragment.instrs[last][0] + 4) & U32)
-        for k, (pc, instr) in enumerate(fragment.instrs):
-            if k == last and instr.iclass in CONTROL_CLASSES:
-                gen = term_source(pc, instr)
-                if gen is None:
-                    return None
-                line, npc_expr, regs, wr = gen
-            else:
-                gen = instr_source(pc, instr)
-                if gen is None:
-                    return None
-                line, regs, wr = gen
-            used |= regs
-            if wr:
-                written.add(wr)
-            lines.append((line, k))
-        return lines, npc_expr, used, written
+        return _body(fragment.instrs)
 
     def _hot_key(self, fragment: "Fragment") -> str | None:
         """The direct-exit key to grow the region along (None = stop)."""
@@ -514,7 +432,7 @@ class Tier2Runtime:
                 return "F"
         return None  # IB exits (fused in-region) and HALT end the region
 
-    def try_promote(self, fragment: "Fragment") -> SDTRegion | None:
+    def try_promote(self, fragment: "Fragment") -> Region | None:
         """Grow and compile a region headed by ``fragment``.
 
         On success the region is installed on ``fragment.region``; on
@@ -532,7 +450,7 @@ class Tier2Runtime:
         seen = {id(fragment)}
         loop = False
         current = fragment
-        while len(members) < self.max_blocks:
+        while len(members) < MAX_REGION_BLOCKS:
             key = self._hot_key(current)
             if key is None:
                 break
@@ -574,7 +492,7 @@ class Tier2Runtime:
 
     # -- code generation -----------------------------------------------------
 
-    def _compile(self, members, keys, loop: bool, bodies) -> SDTRegion:
+    def _compile(self, members, keys, loop: bool, bodies) -> Region:
         """Emit and compile the region source.
 
         ``bodies`` carries the per-member ``(lines, npc_expr, used,
@@ -592,50 +510,35 @@ class Tier2Runtime:
 
         vm = self.vm
         chaos = vm._chaos
-        used: set[int] = set()
-        written: set[int] = set()
-        for _lines, _npc, regs, wregs in bodies:
-            used |= regs
-            written |= wregs
-
-        order = sorted(used)
-        spill = _spill(sorted(written))
-        filename = f"<tier2 {members[0].guest_pc:#x}>"
-
-        ns = _base_namespace(vm.mem)
-        ns.update(
-            _regs=vm.cpu.regs, _vm=vm, _cnt=vm.iclass_counts,
-            _cyc=vm.model.cycles, _APP=Category.APP,
-            _cb=vm.model.cond_branch,
-            _ds=vm._direct_successor, _oc=vm.return_mech.on_call,
-            _cpu=vm.cpu, _dib=vm._dispatch_ib,
-            _gd=vm.generic_ib.dispatch, _rd=vm.return_mech.dispatch_ret,
-            _ibs=vm.stats.ib_dispatches,
+        sb = _RegionBuilder(
+            f"<tier2 {members[0].guest_pc:#x}>", vm.mem,
+            dict(
+                _regs=vm.cpu.regs, _vm=vm, _cnt=vm.iclass_counts,
+                _cyc=vm.model.cycles, _APP=Category.APP,
+                _cb=vm.model.cond_branch,
+                _ds=vm._direct_successor, _oc=vm.return_mech.on_call,
+                _cpu=vm.cpu, _dib=vm._dispatch_ib,
+                _gd=vm.generic_ib.dispatch, _rd=vm.return_mech.dispatch_ret,
+                _ibs=vm.stats.ib_dispatches,
+            ),
+            bodies, loop,
         )
-        for iclass in InstrClass:
-            ns[f"_ic_{iclass.name}"] = iclass
+        ns = sb.ns
+        spill = sb.spill
         for i, fragment in enumerate(members):
             ns[f"_f{i}"] = fragment
             if chaos:
                 ns[f"_p{i}"] = fragment.plan
-
-        sb = _SourceBuilder(filename)
-        sb.add(0, "")  # def line patched in once the body names are known
-        indent = 4
-        sb.add(indent, _loads(order))
-        if loop:
-            sb.add(indent, "while True:")
-            indent = 8
 
         count = len(members)
         for i, fragment in enumerate(members):
             plan = fragment.plan
             lines, npc_expr, _regs, _wregs = bodies[i]
             for text, k in lines:
-                sb.add(indent, text, member=i, k=k)
-            sb.add(indent, f"_vm.retired += {plan.n}; rem -= {plan.n}")
-            sb.add(indent, _class_commit(plan.class_counts))
-            sb.add(indent, f"_cyc[_APP] += {plan.app_cycles}")
+                sb.add(text, member=i, k=k)
+            sb.add(f"_vm.retired += {plan.n}; rem -= {plan.n}")
+            sb.add(_class_commit(plan.class_counts))
+            sb.add(f"_cyc[_APP] += {plan.app_cycles}")
 
             kind = fragment.exit_kind
             term_pc = plan.term_pc
@@ -645,33 +548,31 @@ class Tier2Runtime:
                 # region exit: spill everything, run the tier-1 exit
                 # protocol and hand its successor to the main loop
                 if kind is ExitKind.COND:
-                    sb.add(indent, f"_cb({fragment.exit_site}, _npc != {fall})")
-                    sb.add(indent, _join(
+                    sb.add(f"_cb({fragment.exit_site}, _npc != {fall})")
+                    sb.add(_join(
                         f"if _npc != {fall}: {spill}" if spill
                         else f"if _npc != {fall}: pass",
                         f'return _ds(_f{i}, "T", _npc)'))
-                    sb.add(indent, _join(
-                        spill, f'return _ds(_f{i}, "F", {fall})'))
+                    sb.add(_join(spill, f'return _ds(_f{i}, "F", {fall})'))
                 elif kind is ExitKind.CALL:
-                    sb.add(indent, _join(
+                    sb.add(_join(
                         spill, f"_oc(_cpu, {REG_RA}, {fall})",
                         f'return _ds(_f{i}, "J", {npc_expr})'))
                 elif kind is ExitKind.ICALL:
-                    sb.add(indent, _join(
+                    sb.add(_join(
                         spill, '_ibs["icall"] += 1',
                         f"_oc(_cpu, {plan.term_rd}, {fall})",
                         f'return _dib("icall", _f{i}, {term_pc}, _npc, _gd)'))
                 elif kind is ExitKind.IJUMP:
-                    sb.add(indent, _join(
+                    sb.add(_join(
                         spill, '_ibs["ijump"] += 1',
                         f'return _dib("ijump", _f{i}, {term_pc}, _npc, _gd)'))
                 elif kind is ExitKind.RET:
-                    sb.add(indent, _join(
+                    sb.add(_join(
                         spill, '_ibs["ret"] += 1',
                         f'return _dib("ret", _f{i}, {term_pc}, _npc, _rd)'))
                 else:  # JUMP / FALL
-                    sb.add(indent, _join(
-                        spill, f'return _ds(_f{i}, "J", {npc_expr})'))
+                    sb.add(_join(spill, f'return _ds(_f{i}, "J", {npc_expr})'))
                 continue
 
             # region-internal boundary (or loop backedge): guards, then
@@ -681,14 +582,14 @@ class Tier2Runtime:
             nxt = members[j]
             nplan = nxt.plan
             if kind is ExitKind.COND:
-                sb.add(indent, f"_cb({fragment.exit_site}, _npc != {fall})")
+                sb.add(f"_cb({fragment.exit_site}, _npc != {fall})")
                 if key == "T":
-                    sb.add(indent, _join(
+                    sb.add(_join(
                         f"if _npc == {fall}: {spill}" if spill
                         else f"if _npc == {fall}: pass",
                         f'return _ds(_f{i}, "F", {fall})'))
                 else:
-                    sb.add(indent, _join(
+                    sb.add(_join(
                         f"if _npc != {fall}: {spill}" if spill
                         else f"if _npc != {fall}: pass",
                         f'return _ds(_f{i}, "T", _npc)'))
@@ -696,7 +597,7 @@ class Tier2Runtime:
                 # tier-1 calls on_call after the body; the return scheme
                 # may rewrite the link register (fast returns), so spill
                 # it, let the scheme run, and reload the rewritten value
-                sb.add(indent, _join(
+                sb.add(_join(
                     f"_regs[{REG_RA}] = r{REG_RA}",
                     f"_oc(_cpu, {REG_RA}, {fall})",
                     f"r{REG_RA} = _regs[{REG_RA}]"))
@@ -706,22 +607,15 @@ class Tier2Runtime:
             if chaos:
                 cond += (f" or _f{j}.plan is not _p{j} or not "
                          f"_p{j}.coherent_with({nxt.guest_pc}, _f{j}.instrs)")
-            sb.add(indent, _join(
+            sb.add(_join(
                 f"if {cond}: {spill}" if spill else f"if {cond}: pass",
                 f"return _db{i}({npc_expr}, rem)"))
 
-        sb.lines[0] = _def_line(_extra_binds(ns, "\n".join(sb.lines[1:])))
-        source = sb.source()
-        exec(_compile_cached(source, filename), ns)
-        member_meta = tuple(
-            (m.plan.pcs, m.plan.iclasses) for m in members
-        )
-        return SDTRegion(ns["_region"], list(members), filename,
-                         sb.line_table, order, member_meta, source)
+        return sb.finish(members, [m.plan for m in members])
 
     # -- execution -----------------------------------------------------------
 
-    def execute(self, fragment: "Fragment", region: SDTRegion,
+    def execute(self, fragment: "Fragment", region: Region,
                 budget: int) -> "Fragment | None":
         """Run a region; returns the successor fragment (or None on exit).
 
@@ -729,46 +623,26 @@ class Tier2Runtime:
         head block fits the remaining fuel and — under chaos — that its
         plan is coherent, the same gate the threaded fast path uses.
         """
-        trace = self.vm.trace
+        vm = self.vm
+        trace = vm.trace
         if trace is None:
             try:
                 return region.fn(budget)
             except BaseException as exc:
-                self._recover(region, exc)
+                region.recover(exc, vm.cpu.regs, vm._flush_partial)
                 raise
         trace.emit("tier2.enter", pc=fragment.guest_pc)
         try:
             return region.fn(budget)
         except BaseException as exc:
-            self._recover(region, exc)
+            region.recover(exc, vm.cpu.regs, vm._flush_partial)
             raise
         finally:
             trace.emit("tier2.exit", pc=fragment.guest_pc)
 
-    def _recover(self, region: SDTRegion, exc: BaseException) -> None:
-        """Replay a faulted partial block exactly like ``_flush_partial``."""
-        hit = _recover_frame(region, exc)
-        if hit is None:
-            return  # raised by an exit call, after spill + commit
-        member_idx, k, frame_locals = hit
-        vm = self.vm
-        regs = vm.cpu.regs
-        for reg in region.used_regs:
-            value = frame_locals.get(f"r{reg}")
-            if value is not None:
-                regs[reg] = value
-        pcs, iclasses = region.member_meta[member_idx]
-        counts = vm.iclass_counts
-        model = vm.model
-        for iclass in iclasses[:k]:
-            counts[iclass] += 1
-            model.charge_instr(iclass)
-        vm.retired += k
-        vm.cpu.pc = pcs[min(k, len(pcs) - 1)]
-
     # -- discard hooks -------------------------------------------------------
 
-    def _discard(self, region: SDTRegion, reason: str) -> None:
+    def _discard(self, region: Region, reason: str) -> None:
         head = region.members[0]
         if head.region is region:
             head.region = None
@@ -793,7 +667,7 @@ class Tier2Runtime:
         so a surviving stale region would be a CI violation)."""
         if not self._by_member:
             return
-        doomed: dict[int, SDTRegion] = {}
+        doomed: dict[int, Region] = {}
         for fragment in dead:
             for region in self._by_member.get(id(fragment), ()):
                 doomed[id(region)] = region
@@ -823,23 +697,6 @@ class Tier2Runtime:
 
 # -- interpreter regions ------------------------------------------------------
 
-class InterpRegion:
-    """A compiled interpreter region (native-baseline tier 2)."""
-
-    __slots__ = ("fn", "members", "filename", "line_table", "used_regs",
-                 "member_meta", "source")
-
-    def __init__(self, fn, members, filename, line_table, used_regs,
-                 member_meta, source):
-        self.fn = fn
-        self.members = members
-        self.filename = filename
-        self.line_table = line_table
-        self.used_regs = used_regs
-        self.member_meta = member_meta
-        self.source = source
-
-
 class InterpreterTier2:
     """Tier-2 runtime for the reference interpreter.
 
@@ -856,8 +713,7 @@ class InterpreterTier2:
     def __init__(self, interp: "Interpreter"):
         self.interp = interp
         self.threshold = promote_threshold()
-        self.max_blocks = max_region_blocks()
-        self._regions: list[InterpRegion] = []
+        self._regions: list[Region] = []
 
     # -- promotion -----------------------------------------------------------
 
@@ -874,12 +730,8 @@ class InterpreterTier2:
         return pairs
 
     def _probe(self, block: "Superblock"):
-        """Eligibility check and body codegen in a single walk.
-
-        Returns ``(lines, npc_expr, used_regs, written_regs,
-        term_instr)`` or ``None`` when the block must stay on the
-        threaded tier.
-        """
+        """``(body, terminator)`` for ``block`` (see :func:`_body`), or
+        ``None`` when the block must stay on the threaded tier."""
         if block.has_syscall or block.term_iclass is InstrClass.HALT:
             return None
         try:
@@ -888,27 +740,8 @@ class InterpreterTier2:
             return None
         if pairs is None:
             return None
-        lines: list[tuple[str, int]] = []
-        used: set[int] = set()
-        written: set[int] = set()
-        last = block.n - 1
-        npc_expr = str((block.term_pc + 4) & U32)
-        for k, (pc, instr) in enumerate(pairs):
-            if k == last and instr.iclass in CONTROL_CLASSES:
-                gen = term_source(pc, instr)
-                if gen is None:
-                    return None
-                line, npc_expr, regs, wr = gen
-            else:
-                gen = instr_source(pc, instr)
-                if gen is None:
-                    return None
-                line, regs, wr = gen
-            used |= regs
-            if wr:
-                written.add(wr)
-            lines.append((line, k))
-        return lines, npc_expr, used, written, pairs[-1][1]
+        body = _body(pairs)
+        return None if body is None else (body, pairs[-1][1])
 
     def _successor_pc(self, block: "Superblock", term: Instruction,
                       head_pc: int) -> int | None:
@@ -927,18 +760,18 @@ class InterpreterTier2:
             return fall
         return None  # IJUMP / ICALL / RET fuse the exit and end the region
 
-    def try_promote(self, block: "Superblock") -> InterpRegion | None:
-        body = self._probe(block)
-        if body is None:
+    def try_promote(self, block: "Superblock") -> Region | None:
+        probe = self._probe(block)
+        if probe is None:
             block.region = False
             return None
         blocks = self.interp._blocks
         members = [block]
-        bodies = [body]
+        bodies = [probe[0]]
         seen = {block.entry_pc}
         loop = False
-        current, term = block, body[4]
-        while len(members) < self.max_blocks:
+        current, term = block, probe[1]
+        while len(members) < MAX_REGION_BLOCKS:
             nxt_pc = self._successor_pc(current, term, block.entry_pc)
             if nxt_pc is None:
                 break
@@ -948,13 +781,13 @@ class InterpreterTier2:
             nxt = blocks.get(nxt_pc)
             if nxt is None or nxt_pc in seen:
                 break
-            nxt_body = self._probe(nxt)
-            if nxt_body is None:
+            probe = self._probe(nxt)
+            if probe is None:
                 break
             members.append(nxt)
-            bodies.append(nxt_body)
+            bodies.append(probe[0])
             seen.add(nxt_pc)
-            current, term = nxt, nxt_body[4]
+            current, term = nxt, probe[1]
         try:
             region = self._compile(members, loop, bodies)
         except Exception:
@@ -964,61 +797,42 @@ class InterpreterTier2:
         self._regions.append(region)
         return region
 
-    def _compile(self, members, loop: bool, bodies) -> InterpRegion:
+    def _compile(self, members, loop: bool, bodies) -> Region:
         """Emit and compile the region source from the probe output."""
         interp = self.interp
         observer = interp.observer
         model = observer.model if observer is not None else None
         count_classes = interp.count_classes
 
-        used: set[int] = set()
-        written: set[int] = set()
-        for _lines, _npc, regs, wregs, _term in bodies:
-            used |= regs
-            written |= wregs
-
-        order = sorted(used)
-        spill = _spill(sorted(written))
-        filename = f"<tier2i {members[0].entry_pc:#x}>"
-
-        ns = _base_namespace(interp.mem)
-        ns.update(
+        host_ns = dict(
             _regs=interp.cpu.regs, _cpu=interp.cpu, _it=interp,
             _blocks=interp._blocks, _cnt=interp.iclass_counts,
         )
         if model is not None:
-            ns.update(_cyc=model.cycles, _APP=Category.APP,
-                      _cbr=model.cond_branch,
-                      _hc=model.host_call, _ij=model.indirect_jump,
-                      _hr=model.host_return)
-        for iclass in InstrClass:
-            ns[f"_ic_{iclass.name}"] = iclass
-        nmembers = len(members)
-        for i in range(nmembers):
-            if i == nmembers - 1 and not loop:
+            host_ns.update(_cyc=model.cycles, _APP=Category.APP,
+                           _cbr=model.cond_branch,
+                           _hc=model.host_call, _ij=model.indirect_jump,
+                           _hr=model.host_return)
+        sb = _RegionBuilder(f"<tier2i {members[0].entry_pc:#x}>",
+                            interp.mem, host_ns, bodies, loop)
+        spill = sb.spill
+        count = len(members)
+        for i in range(count):
+            if i == count - 1 and not loop:
                 continue
-            nxt_block = members[0] if i == nmembers - 1 else members[i + 1]
-            ns[f"_b{i}"] = nxt_block
+            nxt_block = members[0] if i == count - 1 else members[i + 1]
+            sb.ns[f"_b{i}"] = nxt_block
             nxt_block.hits += 1  # formation itself is evidence of heat
 
-        sb = _SourceBuilder(filename)
-        sb.add(0, "")  # def line patched in once the body names are known
-        indent = 4
-        sb.add(indent, _loads(order))
-        if loop:
-            sb.add(indent, "while True:")
-            indent = 8
-
-        count = len(members)
         for i, block in enumerate(members):
-            lines, npc_expr, _regs, _wregs, _term = bodies[i]
+            lines, npc_expr, _regs, _wregs = bodies[i]
             for text, k in lines:
-                sb.add(indent, text, member=i, k=k)
-            sb.add(indent, f"_it.retired += {block.n}; rem -= {block.n}")
+                sb.add(text, member=i, k=k)
+            sb.add(f"_it.retired += {block.n}; rem -= {block.n}")
             if count_classes:
-                sb.add(indent, _class_commit(block.class_counts))
+                sb.add(_class_commit(block.class_counts))
             if model is not None:
-                sb.add(indent, f"_cyc[_APP] += {block.app_cycles}")
+                sb.add(f"_cyc[_APP] += {block.app_cycles}")
 
             iclass = block.term_iclass
             term_pc = block.term_pc
@@ -1026,20 +840,19 @@ class InterpreterTier2:
             if model is not None and iclass in CONTROL_CLASSES:
                 # native_exit_event, inlined case by case
                 if iclass is InstrClass.BRANCH:
-                    sb.add(indent, f"_cbr({term_pc}, _npc != {fall})")
+                    sb.add(f"_cbr({term_pc}, _npc != {fall})")
                 elif iclass is InstrClass.CALL:
-                    sb.add(indent, f"_hc({fall})")
+                    sb.add(f"_hc({fall})")
                 elif iclass is InstrClass.ICALL:
-                    sb.add(indent, f"_hc({fall}); _ij({term_pc}, _npc)")
+                    sb.add(f"_hc({fall}); _ij({term_pc}, _npc)")
                 elif iclass is InstrClass.IJUMP:
-                    sb.add(indent, f"_ij({term_pc}, _npc)")
+                    sb.add(f"_ij({term_pc}, _npc)")
                 elif iclass is InstrClass.RET:
-                    sb.add(indent, f"_hr(_npc)")
+                    sb.add("_hr(_npc)")
 
             is_last = i == count - 1
             if is_last and not loop:
-                sb.add(indent, _join(
-                    spill, f"_cpu.pc = {npc_expr}", "return rem"))
+                sb.add(_join(spill, f"_cpu.pc = {npc_expr}", "return rem"))
                 continue
 
             # boundary into the next member (or the loop backedge): the
@@ -1049,58 +862,28 @@ class InterpreterTier2:
             nxt_block = members[0] if is_last else members[i + 1]
             target = nxt_block.entry_pc
             if iclass is InstrClass.BRANCH:
-                sb.add(indent, _join(
+                sb.add(_join(
                     f"if _npc != {target}: {spill}" if spill
                     else f"if _npc != {target}: pass",
                     "_cpu.pc = _npc", "return rem"))
-            sb.add(indent, _join(
+            sb.add(_join(
                 f"if _blocks.get({target}) is not _b{i} or rem < "
                 f"{nxt_block.n}: {spill}" if spill else
                 f"if _blocks.get({target}) is not _b{i} or rem < "
                 f"{nxt_block.n}: pass",
                 f"_cpu.pc = {target}", "return rem"))
 
-        sb.lines[0] = _def_line(_extra_binds(ns, "\n".join(sb.lines[1:])))
-        source = sb.source()
-        exec(_compile_cached(source, filename), ns)
-        member_meta = tuple(
-            (block.pcs, block.iclasses) for block in members
-        )
-        return InterpRegion(ns["_region"], list(members), filename,
-                            sb.line_table, order, member_meta, source)
+        return sb.finish(members, members)
 
     # -- execution -----------------------------------------------------------
 
-    def execute(self, region: InterpRegion, remaining: int) -> int:
+    def execute(self, region: Region, remaining: int) -> int:
+        interp = self.interp
         try:
             return region.fn(remaining)
         except BaseException as exc:
-            self._recover(region, exc)
+            region.recover(exc, interp.cpu.regs, interp._flush_partial)
             raise
-
-    def _recover(self, region: InterpRegion, exc: BaseException) -> None:
-        hit = _recover_frame(region, exc)
-        if hit is None:
-            return
-        member_idx, k, frame_locals = hit
-        interp = self.interp
-        regs = interp.cpu.regs
-        for reg in region.used_regs:
-            value = frame_locals.get(f"r{reg}")
-            if value is not None:
-                regs[reg] = value
-        pcs, iclasses = region.member_meta[member_idx]
-        interp.retired += k
-        if interp.count_classes:
-            counts = interp.iclass_counts
-            for iclass in iclasses[:k]:
-                counts[iclass] += 1
-        observer = interp.observer
-        if observer is not None:
-            model = observer.model
-            for iclass in iclasses[:k]:
-                model.charge_instr(iclass)
-        interp.cpu.pc = pcs[min(k, len(pcs) - 1)]
 
     # -- discard -------------------------------------------------------------
 

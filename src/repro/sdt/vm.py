@@ -308,7 +308,7 @@ class SDTVM:
                 next_pc = fn()
                 k += 1
         except BaseException:
-            self._flush_partial(plan, k)
+            self._flush_partial(plan.pcs, plan.iclasses, k)
             raise
         self.retired += plan.n
         counts = self.iclass_counts
@@ -357,16 +357,16 @@ class SDTVM:
             fragment, next_pc, plan.term_pc, plan.term_rd
         )
 
-    def _flush_partial(self, plan: Superblock, k: int) -> None:
+    def _flush_partial(self, pcs, iclasses, k: int) -> None:
         """Account a fast-path block's first ``k`` instructions on a fault."""
         counts = self.iclass_counts
         model = self.model
-        for iclass in plan.iclasses[:k]:
+        for iclass in iclasses[:k]:
             counts[iclass] += 1
             model.charge_instr(iclass)
         self.retired += k
         # leave cpu.pc on the faulting instruction, like the oracle body
-        self.cpu.pc = plan.pcs[min(k, plan.n - 1)]
+        self.cpu.pc = pcs[min(k, len(pcs) - 1)]
 
     def _dispatch_exit(
         self, fragment: Fragment, next_pc: int, last_pc: int, term_rd: int

@@ -1,8 +1,10 @@
 """Closure compiler + superblock unit tests (repro.machine.engine).
 
-Every specialised closure must match :func:`repro.machine.executor.execute`
-bit-for-bit; these tests drive each opcode through both paths on
-randomised machine state and compare the complete architectural outcome.
+Both renderings of the op table (:data:`repro.machine.engine.SEMANTICS`)
+— threaded closures and tier-2 region lines — must match
+:func:`repro.machine.executor.execute` bit-for-bit; these tests drive
+each opcode through both paths on randomised machine state and compare
+the complete architectural outcome.
 """
 
 from __future__ import annotations
@@ -15,17 +17,23 @@ from repro.host.costs import HostModel, NativeCostObserver
 from repro.host.profile import SIMPLE
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import OP_TABLE, Fmt, InstrClass, Op
+from repro.machine import tier2
 from repro.machine.cpu import CPUState
 from repro.machine.engine import (
     ENGINES,
     MAX_SUPERBLOCK_INSTRS,
+    SEMANTICS,
     Superblock,
-    compile_block,
     compile_instr,
     default_engine,
     resolve_engine,
 )
-from repro.machine.errors import DivideByZeroFault, FuelExhausted, MemoryFault
+from repro.machine.errors import (
+    DivideByZeroFault,
+    FuelExhausted,
+    GuestFault,
+    MemoryFault,
+)
 from repro.machine.executor import execute
 from repro.machine.interpreter import Interpreter
 from repro.machine.memory import Memory
@@ -49,13 +57,18 @@ def _fresh_state(seed: int) -> tuple[CPUState, Memory, SyscallHandler]:
 
 
 def _prepare(instr: Instruction, cpu: CPUState, rng: random.Random) -> None:
-    """Constrain operands so the instruction cannot fault."""
+    """Constrain operands so the instruction cannot fault.
+
+    r0 is never written: it reads 0 architecturally, and tier-2 folds its
+    reads to the constant.  A load/store based on r0 addresses low
+    memory; a division by r0 faults in every engine.
+    """
     op = instr.op
-    if OP_TABLE[op].fmt is Fmt.MEM:
+    if OP_TABLE[op].fmt is Fmt.MEM and instr.rs:
         width = {Op.LW: 4, Op.SW: 4, Op.LH: 2, Op.LHU: 2, Op.SH: 2}.get(op, 1)
         aligned = MEM_BASE + rng.randrange(0, 48, width or 1)
         cpu.regs[instr.rs] = (aligned - instr.imm) & 0xFFFFFFFF
-    elif op in (Op.DIV, Op.REM) and cpu.regs[instr.rt] == 0:
+    elif op in (Op.DIV, Op.REM) and instr.rt and cpu.regs[instr.rt] == 0:
         cpu.regs[instr.rt] = 7
 
 
@@ -89,39 +102,68 @@ def _random_instr(op: Op, rng: random.Random) -> Instruction:
     return Instruction(op=op)  # NONE: ret, syscall, halt
 
 
-def _run_both(instr: Instruction, seed: int):
-    """Execute one instruction via oracle and closure on twin states."""
-    cpu_a, mem_a, sys_a = _fresh_state(seed)
-    cpu_b, mem_b, sys_b = _fresh_state(seed)
-    rng = random.Random(seed + 1)
-    _prepare(instr, cpu_a, rng)
-    _prepare(instr, cpu_b, random.Random(seed + 1))
+def _outcome(step):
+    """The next PC ``step()`` returns, or the type of guest fault it raises."""
+    try:
+        return step()
+    except GuestFault as exc:
+        return type(exc)
 
-    cpu_a.pc = PC
-    next_a = execute(instr, cpu_a, mem_a, sys_a)
-    fn = compile_instr(PC, instr, cpu_b, mem_b, sys_b)
-    next_b = fn()
 
-    assert next_a == next_b, f"{instr}: next_pc {next_a:#x} != {next_b:#x}"
-    assert cpu_a.regs == cpu_b.regs, f"{instr}: register files diverged"
-    for offset in range(0, 64, 4):
-        assert (mem_a.load_word(MEM_BASE + offset)
-                == mem_b.load_word(MEM_BASE + offset)), instr
-    assert sys_a.exit_code == sys_b.exit_code, instr
+def _tier2_step(pc, instr, cpu, mem, syscalls):
+    """A one-instruction tier-2 function: the region line for ``instr``
+    between register loads and spills, or ``None`` when the shape is
+    region-ineligible."""
+    gen = tier2.instr_source(pc, instr)
+    if gen is None:
+        return None
+    line, npc_expr, used, written = gen
+    ns = tier2._base_namespace(mem)
+    ns["_regs"] = cpu.regs
+    exec("\n    ".join([
+        "def step():", tier2._loads(sorted(used)), line,
+        tier2._spill([written] if written else []) or "pass",
+        f"return {npc_expr}",
+    ]), ns)
+    return ns["step"]
 
 
 NON_SYSCALL_OPS = [op for op in Op if op is not Op.SYSCALL]
 
 
 class TestClosureSemantics:
+    """Threaded closures against the oracle executor."""
+
+    compile = staticmethod(compile_instr)
+
+    def _run_both(self, instr: Instruction, seed: int):
+        """Execute one instruction via oracle and rendering on twin states."""
+        cpu_a, mem_a, sys_a = _fresh_state(seed)
+        cpu_b, mem_b, sys_b = _fresh_state(seed)
+        rng = random.Random(seed + 1)
+        _prepare(instr, cpu_a, rng)
+        _prepare(instr, cpu_b, random.Random(seed + 1))
+
+        cpu_a.pc = PC
+        next_a = _outcome(lambda: execute(instr, cpu_a, mem_a, sys_a))
+        fn = self.compile(PC, instr, cpu_b, mem_b, sys_b)
+        next_b = _outcome(fn)
+
+        assert next_a == next_b, f"{instr}: next_pc {next_a} != {next_b}"
+        assert cpu_a.regs == cpu_b.regs, f"{instr}: register files diverged"
+        for addr in (*range(0, 16, 4), *range(MEM_BASE, MEM_BASE + 64, 4)):
+            assert mem_a.load_word(addr) == mem_b.load_word(addr), instr
+        assert sys_a.exit_code == sys_b.exit_code, instr
+
     @pytest.mark.parametrize("op", NON_SYSCALL_OPS, ids=lambda o: o.value)
     def test_matches_oracle_on_random_state(self, op):
         rng = random.Random(hash(op.value) & 0xFFFF)
         for trial in range(16):
             instr = _random_instr(op, rng)
-            _run_both(instr, seed=trial * 1021 + 7)
+            self._run_both(instr, seed=trial * 1021 + 7)
 
-    def test_write_to_r0_discarded(self):
+    @staticmethod
+    def _r0_variants():
         for op in (Op.ADD, Op.LW, Op.JALR, Op.LUI, Op.SLL):
             rng = random.Random(3)
             instr = _random_instr(op, rng)
@@ -133,41 +175,79 @@ class TestClosureSemantics:
                 fields["rt"] = 0
             else:
                 fields["rd"] = 0
-            _run_both(Instruction(**fields), seed=99)
+            yield Instruction(**fields)
+
+    def test_write_to_r0_discarded(self):
+        for instr in self._r0_variants():
+            self._run_both(instr, seed=99)
 
     def test_jalr_rd_equals_rs_reads_target_first(self):
-        _run_both(Instruction(op=Op.JALR, rd=5, rs=5), seed=123)
+        self._run_both(Instruction(op=Op.JALR, rd=5, rs=5), seed=123)
 
     def test_divide_by_zero_raises_in_both(self):
-        instr = Instruction(op=Op.DIV, rd=3, rs=1, rt=2)
-        cpu_a, mem_a, sys_a = _fresh_state(0)
-        cpu_b, mem_b, sys_b = _fresh_state(0)
-        cpu_a.regs[2] = cpu_b.regs[2] = 0
-        cpu_a.pc = PC
-        with pytest.raises(DivideByZeroFault):
-            execute(instr, cpu_a, mem_a, sys_a)
-        fn = compile_instr(PC, instr, cpu_b, mem_b, sys_b)
-        with pytest.raises(DivideByZeroFault):
-            fn()
-
-    def test_memory_fault_raises_in_both(self):
-        instr = Instruction(op=Op.LW, rt=3, rs=1, imm=0)
-        for misaligned in (0x2000_0001, 0xFFFF_FFFD):
+        for op in (Op.DIV, Op.REM):
+            instr = Instruction(op=op, rd=3, rs=1, rt=2)
             cpu_a, mem_a, sys_a = _fresh_state(0)
             cpu_b, mem_b, sys_b = _fresh_state(0)
-            cpu_a.regs[1] = cpu_b.regs[1] = misaligned
+            cpu_a.regs[2] = cpu_b.regs[2] = 0
             cpu_a.pc = PC
-            a = b = None
-            try:
+            with pytest.raises(DivideByZeroFault):
                 execute(instr, cpu_a, mem_a, sys_a)
-            except Exception as exc:
-                a = type(exc)
-            fn = compile_instr(PC, instr, cpu_b, mem_b, sys_b)
-            try:
+            fn = self.compile(PC, instr, cpu_b, mem_b, sys_b)
+            with pytest.raises(DivideByZeroFault):
                 fn()
-            except Exception as exc:
-                b = type(exc)
-            assert a is not None and a is b
+
+    def test_memory_fault_raises_in_both(self):
+        for op in (Op.LW, Op.LH, Op.LHU):
+            instr = Instruction(op=op, rt=3, rs=1, imm=0)
+            for misaligned in (0x2000_0001, 0xFFFF_FFFD):
+                cpu_a, mem_a, sys_a = _fresh_state(0)
+                cpu_b, mem_b, sys_b = _fresh_state(0)
+                cpu_a.regs[1] = cpu_b.regs[1] = misaligned
+                cpu_a.pc = PC
+                a = b = None
+                try:
+                    execute(instr, cpu_a, mem_a, sys_a)
+                except Exception as exc:
+                    a = type(exc)
+                fn = self.compile(PC, instr, cpu_b, mem_b, sys_b)
+                try:
+                    fn()
+                except Exception as exc:
+                    b = type(exc)
+                assert a is not None and a is b, op
+
+
+class TestTier2LineSemantics(TestClosureSemantics):
+    """The same cases through one-instruction tier-2 functions."""
+
+    compile = staticmethod(_tier2_step)
+
+    def _run_both(self, instr: Instruction, seed: int):
+        rule = SEMANTICS.get(instr.op)
+        if rule is None or (rule.dest is not None
+                            and not getattr(instr, rule.dest)):
+            # HALT and results for r0 end region eligibility (a link
+            # written to r0 is dropped instead, so JALR r0 is compared)
+            assert tier2.instr_source(PC, instr) is None, instr
+        else:
+            super()._run_both(instr, seed)
+
+
+class TestSemanticsTable:
+    """Dropping an op from the table fails here instead of silently
+    running it through the oracle executor."""
+
+    def test_covers_every_op_but_syscall_and_halt(self):
+        assert set(SEMANTICS) == set(Op) - {Op.SYSCALL, Op.HALT}
+
+    @pytest.mark.parametrize("op", NON_SYSCALL_OPS, ids=lambda o: o.value)
+    def test_specialised_in_both_tiers(self, op):
+        instr = Instruction(op=op, rd=3, rs=4, rt=5, imm=8, shamt=2)
+        cpu, mem, sys_ = _fresh_state(0)
+        assert compile_instr(PC, instr, cpu, mem, sys_).__name__ == "step"
+        eligible = tier2.instr_source(PC, instr) is not None
+        assert eligible is (op is not Op.HALT)
 
 
 class TestSuperblock:
@@ -208,7 +288,7 @@ class TestSuperblock:
     def test_empty_block_rejected(self):
         cpu, mem, sys_ = _fresh_state(0)
         with pytest.raises(ValueError):
-            compile_block([], cpu, mem, sys_)
+            Superblock([], cpu, mem, sys_)
 
 
 class TestEngineSelection:
