@@ -39,6 +39,9 @@ class Category(enum.Enum):
     LINK = "link"                    # fragment link patching
     STATIC = "static"                # static-targets guards + preseeding
 
+    # identity hash, as for InstrClass (equality is already identity)
+    __hash__ = object.__hash__
+
 
 #: Categories counted as SDT overhead (everything except app work and the
 #: mispredictions the native run would also have paid).
@@ -70,18 +73,14 @@ class HostModel:
         self.cycles[Category.APP] += self._class_cycles[iclass]
 
     def charge_block(self, cycles: int) -> None:
-        """Bulk APP charge for a whole block of retired instructions.
+        """Bulk APP charge for retired blocks of instructions.
 
-        ``cycles`` must be the precomputed per-class sum for the block
-        (see :class:`repro.machine.engine.Superblock`), so charging a
-        block once is cycle-identical to charging each instruction.
+        ``cycles`` must be a sum of blocks' precomputed per-class costs
+        (``Superblock.app_cycles``, times each block's runs when a
+        :class:`repro.machine.engine.BlockLedger` folds), so one bulk
+        charge is cycle-identical to charging each instruction.
         """
         self.cycles[Category.APP] += cycles
-
-    def block_cycles(self, counts: dict[InstrClass, int]) -> int:
-        """Total APP cycles for an instruction-class count vector."""
-        class_cycles = self._class_cycles
-        return sum(class_cycles[ic] * n for ic, n in counts.items())
 
     # -- host-level branch events -------------------------------------------
     #

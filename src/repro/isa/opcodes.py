@@ -46,6 +46,11 @@ class InstrClass(enum.Enum):
     SYSCALL = "syscall"
     HALT = "halt"
 
+    # Enum equality is identity, so identity hashing agrees with it.
+    # Enum's own hash runs ``hash(self._name_)`` in Python on every
+    # probe of a class-keyed dict.
+    __hash__ = object.__hash__
+
 
 #: Instruction classes that transfer control.
 CONTROL_CLASSES = frozenset(

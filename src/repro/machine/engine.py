@@ -21,9 +21,11 @@ Closures are grouped into :class:`Superblock` plans — straight-line runs
 executed as a flat list — and each plan precomputes its
 :class:`~repro.isa.opcodes.InstrClass` count vector plus its total APP
 cycle cost under the active :class:`~repro.host.profile.ArchProfile`, so
-cycle accounting and instruction-class counting are charged once per
-block execution instead of once per instruction
-(:meth:`repro.host.costs.HostModel.charge_block`).
+cycle accounting and instruction-class counting need not be charged
+per instruction: a fast-path block execution only bumps the plan's
+``runs`` counter, and the host later folds ``runs`` times the vectors
+into its counters (:meth:`repro.host.costs.HostModel.charge_block`;
+see docs/performance.md, "Block-level accounting").
 
 Invariants the block layer relies on (see docs/performance.md):
 
@@ -344,6 +346,11 @@ class Superblock:
         hits: full fast-path executions — the tier-2 engine's heat
             counter; crossing the promotion threshold triggers region
             formation (:mod:`repro.machine.tier2`).
+        runs: fast-path executions not yet accounted — the deferred
+            block ledger's counter.  A host lists the plan as pending
+            when ``runs`` leaves 0 and zeroes it again when it folds
+            ``runs * class_counts`` / ``runs * app_cycles`` into its
+            counters.
         region: tier-2 promotion state — ``None`` until probed, a
             compiled region once promoted, or ``False`` when the block
             is permanently region-ineligible.
@@ -352,7 +359,7 @@ class Superblock:
     __slots__ = (
         "entry_pc", "pcs", "fns", "iclasses", "n", "class_counts",
         "app_cycles", "has_syscall", "term_pc", "term_iclass", "term_rd",
-        "hits", "region",
+        "hits", "runs", "region",
     )
 
     def __init__(
@@ -389,6 +396,7 @@ class Superblock:
         self.term_iclass = iclasses[-1]
         self.term_rd = term_instr.rd
         self.hits = 0
+        self.runs = 0
         self.region = None
         if trace is not None:
             trace.emit("plan.build", entry=self.entry_pc, instrs=self.n,
@@ -421,6 +429,47 @@ class Superblock:
             f"Superblock(entry={self.entry_pc:#x}, n={self.n}, "
             f"term={self.term_iclass.value})"
         )
+
+
+class BlockLedger:
+    """Deferred block accounting for one host (SDT VM or interpreter).
+
+    A fast-path block execution only bumps its plan's ``runs`` counter;
+    the first run since the last fold lists the plan in ``pending``.
+    :meth:`fold` then adds ``runs * class_counts`` to ``counts`` and
+    charges ``runs * app_cycles`` through one
+    :meth:`~repro.host.costs.HostModel.charge_block` call.  Accounting
+    is additive, so a fold at any point leaves the counters exactly
+    where per-block charging would have left them; hosts fold before
+    anything reads them (run end, trace events, cache eviction).
+    ``counts`` or ``model`` may be ``None`` when the host keeps no
+    class counts or cycles.
+    """
+
+    __slots__ = ("pending", "counts", "model")
+
+    def __init__(self, counts: dict | None, model) -> None:
+        self.pending: list[Superblock] = []
+        self.counts = counts
+        self.model = model
+
+    def fold(self) -> None:
+        """Account every pending plan's runs and empty the ledger."""
+        pending = self.pending
+        if not pending:
+            return
+        counts = self.counts
+        cycles = 0
+        for plan in pending:
+            runs = plan.runs
+            plan.runs = 0
+            cycles += runs * plan.app_cycles
+            if counts is not None:
+                for iclass, count in plan.class_counts.items():
+                    counts[iclass] += runs * count
+        pending.clear()
+        if self.model is not None:
+            self.model.charge_block(cycles)
 
 
 def native_exit_event(model, block: Superblock, next_pc: int) -> None:

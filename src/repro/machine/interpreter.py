@@ -42,6 +42,7 @@ from repro.isa.opcodes import CONTROL_CLASSES, InstrClass
 from repro.isa.program import Program
 from repro.machine.engine import (
     MAX_SUPERBLOCK_INSTRS,
+    BlockLedger,
     Superblock,
     native_exit_event,
     resolve_engine,
@@ -100,6 +101,8 @@ class Interpreter:
         self.iclass_counts: Counter = Counter()
         self._decoded: dict[int, Instruction] = {}
         self._blocks: dict[int, Superblock] = {}
+        #: deferred block accounting of the threaded loop (set per run)
+        self._ledger: BlockLedger | None = None
         self._tier2 = None
         if self.engine == "tier2":
             from repro.machine.tier2 import InterpreterTier2
@@ -148,6 +151,8 @@ class Interpreter:
             ]
             for entry in stale:
                 del blocks[entry]
+            if stale and self._ledger is not None:
+                self._ledger.fold()  # hold no dropped block's plan
         if self._tier2 is not None:
             self._tier2.on_code_write(addr, length)
 
@@ -173,7 +178,14 @@ class Interpreter:
             self.observer is None
             or isinstance(self.observer, NativeCostObserver)
         ):
-            self._run_threaded(fuel, tier2=self._tier2)
+            ledger = self._ledger = BlockLedger(
+                self.iclass_counts if self.count_classes else None,
+                self.observer.model if self.observer is not None else None,
+            )
+            try:
+                self._run_threaded(fuel, ledger, tier2=self._tier2)
+            finally:
+                ledger.fold()
         else:
             self._run_oracle(fuel)
         syscalls = self.syscalls
@@ -230,13 +242,12 @@ class Interpreter:
         self._blocks[pc] = block
         return block
 
-    def _run_threaded(self, fuel: int, tier2=None) -> None:
+    def _run_threaded(self, fuel: int, ledger: BlockLedger,
+                      tier2=None) -> None:
         cpu = self.cpu
         syscalls = self.syscalls
-        counts = self.iclass_counts
-        count_classes = self.count_classes
-        observer = self.observer
-        model = observer.model if observer is not None else None
+        model = ledger.model
+        pending = ledger.pending
         blocks = self._blocks
         block_at = self._block_at
         threshold = tier2.threshold if tier2 is not None else 0
@@ -273,13 +284,12 @@ class Interpreter:
                     raise
                 self.retired += n
                 remaining -= n
-                if count_classes:
-                    for iclass, count in block.class_counts.items():
-                        counts[iclass] += count
-                if model is not None:
-                    model.charge_block(block.app_cycles)
-                    if block.term_iclass in CONTROL_CLASSES:
-                        native_exit_event(model, block, next_pc)
+                if not block.runs:
+                    pending.append(block)
+                block.runs += 1
+                if model is not None and \
+                        block.term_iclass in CONTROL_CLASSES:
+                    native_exit_event(model, block, next_pc)
                 cpu.pc = next_pc
             else:
                 # fuel runs out inside this block: retire exactly

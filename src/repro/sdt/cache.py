@@ -73,6 +73,10 @@ class FragmentCache:
         #: optional observability sink (repro.trace.session.TraceSession);
         #: the owning VM wires it after construction
         self.trace = None
+        #: optional callable run before any fragment is evicted (flush or
+        #: invalidation); the owning VM folds its deferred block ledger
+        #: here, so the ledger never holds a dead fragment's plan
+        self.before_evict: Callable[[], None] | None = None
 
     def __len__(self) -> int:
         return len(self._fragments)
@@ -134,6 +138,8 @@ class FragmentCache:
 
         Returns the number of fragments actually evicted.
         """
+        if self.before_evict is not None:
+            self.before_evict()
         evicted = 0
         for fragment in fragments:
             if not fragment.valid:
@@ -158,6 +164,8 @@ class FragmentCache:
         into one :class:`FlushHookError` raised afterwards, so a broken
         hook can neither mask later hooks nor be silently swallowed.
         """
+        if self.before_evict is not None:
+            self.before_evict()
         if self.trace is not None:
             self.trace.emit("cache.flush", fragments=len(self._fragments),
                             bytes=self._alloc)

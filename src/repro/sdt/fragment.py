@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import InstrClass
@@ -70,6 +71,15 @@ class Fragment:
             fragment once promoted, or ``False`` when the fragment is
             permanently region-ineligible.  Profile state, not
             architecture — results are identical with or without it.
+        exit_site: fragment-cache address of the terminating host
+            branch — the address host predictors see for the fragment's
+            final control transfer.  Set by :meth:`place`.
+        exit: the owning VM's exit handler for ``exit_kind``, chosen
+            once at translation.  Called as ``exit(fragment, next_pc,
+            last_pc, term_rd)`` after the body runs; it returns the
+            successor, or ``None`` when the program halts.  The fragment
+            is passed in rather than captured, so a stale copy (a
+            fault-injected tombstone) exits through its own links.
     """
 
     guest_pc: int
@@ -82,6 +92,8 @@ class Fragment:
     plan: object | None = None
     demoted: bool = False
     region: object | None = None
+    exit_site: int = 0
+    exit: Callable[..., "Fragment | None"] | None = None
 
     @property
     def size_bytes(self) -> int:
@@ -89,14 +101,10 @@ class Fragment:
         stub = 16 if self.exit_kind is ExitKind.COND else 8
         return 4 * len(self.instrs) + stub
 
-    @property
-    def exit_site(self) -> int:
-        """Fragment-cache address of the terminating host branch.
-
-        This is the address host predictors see for the fragment's final
-        control transfer.
-        """
-        return self.fc_addr + 4 * max(len(self.instrs) - 1, 0)
+    def place(self, fc_addr: int) -> None:
+        """Record the fragment's fragment-cache address and exit site."""
+        self.fc_addr = fc_addr
+        self.exit_site = fc_addr + 4 * max(len(self.instrs) - 1, 0)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -28,8 +28,14 @@ class IBMechanism(ABC):
         self.vm: "SDTVM | None" = None
 
     def bind(self, vm: "SDTVM") -> None:
-        """Attach to a VM; registers the flush hook."""
+        """Attach to a VM; registers the flush hook.
+
+        ``name`` is final by now, so the hit/miss stat keys are built
+        here once instead of on every dispatch.
+        """
         self.vm = vm
+        self._hit_key = f"{self.name}.hit"
+        self._miss_key = f"{self.name}.miss"
         vm.cache.on_flush(self.on_flush)
 
     @abstractmethod
@@ -95,11 +101,11 @@ class IBMechanism(ABC):
 
     def _hit(self) -> None:
         assert self.vm is not None
-        self.vm.stats.mechanism[f"{self.name}.hit"] += 1
+        self.vm.stats.mechanism[self._hit_key] += 1
 
     def _miss(self) -> None:
         assert self.vm is not None
-        self.vm.stats.mechanism[f"{self.name}.miss"] += 1
+        self.vm.stats.mechanism[self._miss_key] += 1
 
 
 class ReturnMechanism(ABC):
@@ -112,6 +118,8 @@ class ReturnMechanism(ABC):
 
     def bind(self, vm: "SDTVM") -> None:
         self.vm = vm
+        self._hit_key = f"{self.name}.hit"
+        self._miss_key = f"{self.name}.miss"
         vm.cache.on_flush(self.on_flush)
 
     def on_call(
@@ -150,8 +158,8 @@ class ReturnMechanism(ABC):
 
     def _hit(self) -> None:
         assert self.vm is not None
-        self.vm.stats.mechanism[f"{self.name}.hit"] += 1
+        self.vm.stats.mechanism[self._hit_key] += 1
 
     def _miss(self) -> None:
         assert self.vm is not None
-        self.vm.stats.mechanism[f"{self.name}.miss"] += 1
+        self.vm.stats.mechanism[self._miss_key] += 1

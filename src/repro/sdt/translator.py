@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.host.costs import Category, HostModel
 from repro.isa.encoding import decode
@@ -40,6 +40,7 @@ class Translator:
         trace_jumps: bool = False,
         plan_factory: PlanFactory | None = None,
         mem=None,
+        exit_handlers: Mapping[ExitKind, Callable] | None = None,
     ):
         if max_fragment_instrs < 1:
             raise ValueError("max_fragment_instrs must be >= 1")
@@ -51,6 +52,9 @@ class Translator:
         #: compilation is the simulator's own speed trick, not modelled
         #: SDT work, so it is *not* charged to the host model.
         self.plan_factory = plan_factory
+        #: the owning VM's per-kind exit handlers; each fragment gets
+        #: its kind's handler as ``Fragment.exit`` (none when unset)
+        self.exit_handlers = exit_handlers or {}
         self.max_fragment_instrs = max_fragment_instrs
         #: NET-style trace formation: keep translating through
         #: unconditional direct jumps (``j``), building superblocks.
@@ -223,6 +227,7 @@ class Translator:
             fc_addr=0,
             instrs=instrs,
             exit_kind=exit_kind,
+            exit=self.exit_handlers.get(exit_kind),
         )
         if self.plan_factory is not None:
             fragment.plan = self.plan_factory(instrs)
@@ -234,7 +239,7 @@ class Translator:
                 from repro.faults.inject import apply_plan_perturbation
 
                 apply_plan_perturbation(fragment.plan, kind)
-        fragment.fc_addr = self.cache.reserve(fragment.size_bytes)
+        fragment.place(self.cache.reserve(fragment.size_bytes))
         self.cache.insert(fragment)
 
         self.model.charge(

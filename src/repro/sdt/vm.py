@@ -5,7 +5,11 @@ with real guest semantics via :func:`repro.machine.executor.execute`) and
 the *translator* (entered on fragment-cache misses and unhandled indirect
 branches).  All cycle costs — application work, dispatch code, context
 switches, translation, host branch mispredictions — are charged to the
-bound :class:`repro.host.costs.HostModel` as they occur.
+bound :class:`repro.host.costs.HostModel`.  Application work on the
+threaded fast path is deferred: each run only bumps its plan's counter,
+and a :class:`repro.machine.engine.BlockLedger` folds the counters into
+``iclass_counts`` and the model at run end, before every trace event
+and before any fragment is evicted (docs/performance.md).
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from repro.isa.instruction import Instruction
 from repro.isa.opcodes import InstrClass
 from repro.isa.program import Program
 from repro.isa.registers import REG_RA
-from repro.machine.engine import Superblock
+from repro.machine.engine import BlockLedger, Superblock
 from repro.machine.errors import FuelExhausted
 from repro.machine.executor import execute
 from repro.machine.interpreter import DEFAULT_FUEL
@@ -72,6 +76,9 @@ class SDTVM:
         self.program = program
         self.model = HostModel(self.config.profile)
         self.stats = SDTStats()
+        self.retired = 0
+        self.iclass_counts: Counter = Counter()
+        self._ledger = BlockLedger(self.iclass_counts, self.model)
         # observability (repro.trace): one session per VM, or None when
         # tracing is off — every emit site guards on that None, so the
         # disabled cost is a single attribute test on already-cold paths.
@@ -79,11 +86,13 @@ class SDTVM:
         if self.config.trace is not None:
             from repro.trace.session import TraceSession
 
-            self.trace = TraceSession(self.model, self.config.trace)
+            self.trace = TraceSession(self.model, self.config.trace,
+                                      fold=self._ledger.fold)
         self.cache = FragmentCache(
             capacity=self.config.fragment_cache_bytes, stats=self.stats
         )
         self.cache.trace = self.trace
+        self.cache.before_evict = self._ledger.fold
         self.cpu, self.mem, self.syscalls = load_program(program, inputs)
         # tier2 layers region compilation on top of the threaded tier, so
         # every threaded structure (plans, block accounting) stays active
@@ -100,6 +109,16 @@ class SDTVM:
             # guest memory, so retranslation after an invalidation sees
             # the written bytes instead of the static program image
             mem=self.mem if self._coherent else None,
+            exit_handlers={
+                ExitKind.HALT: self._exit_halt,
+                ExitKind.FALL: self._exit_direct,
+                ExitKind.JUMP: self._exit_direct,
+                ExitKind.COND: self._exit_cond,
+                ExitKind.CALL: self._exit_call,
+                ExitKind.ICALL: self._exit_icall,
+                ExitKind.IJUMP: self._exit_ijump,
+                ExitKind.RET: self._exit_ret,
+            },
         )
         self.translator.trace = self.trace
         self.generic_ib, self.return_mech = build_mechanisms(self.config)
@@ -149,8 +168,6 @@ class SDTVM:
             self.invariant_checker = InvariantChecker(self)
             self.invariant_checker.install()
         self._chaos = self.fault_injector is not None
-        self.retired = 0
-        self.iclass_counts: Counter = Counter()
         self._fuel = DEFAULT_FUEL
 
     def _compile_plan(self, instrs: list[tuple[int, Instruction]]) -> Superblock:
@@ -291,15 +308,16 @@ class SDTVM:
         finally:
             self.retired += executed
         assert instr is not None
-        return self._dispatch_exit(fragment, next_pc, guest_pc, instr.rd)
+        return fragment.exit(fragment, next_pc, guest_pc, instr.rd)
 
     def _run_fast(
         self, fragment: Fragment, plan: Superblock
     ) -> Fragment | None:
-        """Threaded block body: flat closure list, block-level accounting.
+        """Threaded block body: flat closure list, deferred accounting.
 
         Only entered for syscall-free plans that fit the remaining fuel,
-        so no per-instruction exit or fuel checks are needed.
+        so no per-instruction exit or fuel checks are needed.  Class
+        counts and APP cycles wait in the block ledger.
         """
         k = 0
         next_pc = plan.entry_pc
@@ -311,13 +329,10 @@ class SDTVM:
             self._flush_partial(plan.pcs, plan.iclasses, k)
             raise
         self.retired += plan.n
-        counts = self.iclass_counts
-        for iclass, count in plan.class_counts.items():
-            counts[iclass] += count
-        self.model.charge_block(plan.app_cycles)
-        return self._dispatch_exit(
-            fragment, next_pc, plan.term_pc, plan.term_rd
-        )
+        if not plan.runs:
+            self._ledger.pending.append(plan)
+        plan.runs += 1
+        return fragment.exit(fragment, next_pc, plan.term_pc, plan.term_rd)
 
     def _run_slow(
         self, fragment: Fragment, plan: Superblock, budget: int
@@ -353,9 +368,7 @@ class SDTVM:
             raise
         finally:
             self.retired += k
-        return self._dispatch_exit(
-            fragment, next_pc, plan.term_pc, plan.term_rd
-        )
+        return fragment.exit(fragment, next_pc, plan.term_pc, plan.term_rd)
 
     def _flush_partial(self, pcs, iclasses, k: int) -> None:
         """Account a fast-path block's first ``k`` instructions on a fault."""
@@ -368,45 +381,55 @@ class SDTVM:
         # leave cpu.pc on the faulting instruction, like the oracle body
         self.cpu.pc = pcs[min(k, len(pcs) - 1)]
 
-    def _dispatch_exit(
-        self, fragment: Fragment, next_pc: int, last_pc: int, term_rd: int
-    ) -> Fragment | None:
-        """Shared fragment-exit handling: predictor events + successor."""
-        exit_kind = fragment.exit_kind
-        if exit_kind is ExitKind.HALT:
-            return None
-        if exit_kind is ExitKind.FALL:
-            return self._direct_successor(fragment, "J", next_pc)
-        if exit_kind is ExitKind.COND:
-            taken = next_pc != last_pc + 4
-            self.model.cond_branch(fragment.exit_site, taken)
-            key = "T" if taken else "F"
-            return self._direct_successor(fragment, key, next_pc)
-        if exit_kind is ExitKind.JUMP:
-            return self._direct_successor(fragment, "J", next_pc)
-        if exit_kind is ExitKind.CALL:
-            self.return_mech.on_call(self.cpu, REG_RA, last_pc + 4)
-            return self._direct_successor(fragment, "J", next_pc)
-        if exit_kind is ExitKind.ICALL:
-            self.stats.ib_dispatches["icall"] += 1
-            self.return_mech.on_call(self.cpu, term_rd, last_pc + 4)
-            return self._dispatch_ib(
-                "icall", fragment, last_pc, next_pc,
-                self.generic_ib.dispatch,
-            )
-        if exit_kind is ExitKind.IJUMP:
-            self.stats.ib_dispatches["ijump"] += 1
-            return self._dispatch_ib(
-                "ijump", fragment, last_pc, next_pc,
-                self.generic_ib.dispatch,
-            )
-        if exit_kind is ExitKind.RET:
-            self.stats.ib_dispatches["ret"] += 1
-            return self._dispatch_ib(
-                "ret", fragment, last_pc, next_pc,
-                self.return_mech.dispatch_ret,
-            )
-        raise AssertionError(f"unhandled exit kind {exit_kind}")
+    # -- fragment exits ------------------------------------------------------
+    #
+    # One handler per exit kind (FALL and JUMP share one), picked at
+    # translation as ``Fragment.exit``.  Each takes the fragment, the
+    # body's next PC, the terminator's guest PC and its ``rd`` field.
+
+    def _exit_halt(self, fragment, next_pc, last_pc, term_rd) -> None:
+        return None
+
+    def _exit_direct(self, fragment, next_pc, last_pc, term_rd) -> Fragment:
+        linked = fragment.links.get("J")
+        if linked is not None and linked.valid:
+            return linked
+        return self._direct_successor(fragment, "J", next_pc)
+
+    def _exit_cond(self, fragment, next_pc, last_pc, term_rd) -> Fragment:
+        taken = next_pc != last_pc + 4
+        self.model.cond_branch(fragment.exit_site, taken)
+        key = "T" if taken else "F"
+        linked = fragment.links.get(key)
+        if linked is not None and linked.valid:
+            return linked
+        return self._direct_successor(fragment, key, next_pc)
+
+    def _exit_call(self, fragment, next_pc, last_pc, term_rd) -> Fragment:
+        self.return_mech.on_call(self.cpu, REG_RA, last_pc + 4)
+        linked = fragment.links.get("J")
+        if linked is not None and linked.valid:
+            return linked
+        return self._direct_successor(fragment, "J", next_pc)
+
+    def _exit_icall(self, fragment, next_pc, last_pc, term_rd) -> Fragment:
+        self.stats.ib_dispatches["icall"] += 1
+        self.return_mech.on_call(self.cpu, term_rd, last_pc + 4)
+        return self._dispatch_ib(
+            "icall", fragment, last_pc, next_pc, self.generic_ib.dispatch
+        )
+
+    def _exit_ijump(self, fragment, next_pc, last_pc, term_rd) -> Fragment:
+        self.stats.ib_dispatches["ijump"] += 1
+        return self._dispatch_ib(
+            "ijump", fragment, last_pc, next_pc, self.generic_ib.dispatch
+        )
+
+    def _exit_ret(self, fragment, next_pc, last_pc, term_rd) -> Fragment:
+        self.stats.ib_dispatches["ret"] += 1
+        return self._dispatch_ib(
+            "ret", fragment, last_pc, next_pc, self.return_mech.dispatch_ret
+        )
 
     def _dispatch_ib(
         self, ib: str, fragment: Fragment, ib_pc: int, target: int,
@@ -439,8 +462,10 @@ class SDTVM:
             while fragment is not None:
                 fragment = self.execute_fragment(fragment)
         finally:
-            # close the attribution ledger even on faulted runs so partial
-            # traces still sum exactly to the cycles actually spent
+            # account deferred blocks and close the attribution ledger
+            # even on faulted runs, so counts and cycles are exact and
+            # partial traces still sum to the cycles actually spent
+            self._ledger.fold()
             if self.trace is not None:
                 self.trace.finish()
         return SDTRunResult(

@@ -12,7 +12,9 @@ Tracing is *pure observation*: ``emit`` reads the host model's cycle
 accumulator but charges nothing, mutates no architectural state and draws
 no randomness, so a traced run is byte-identical — output, retired count,
 cycle totals, stats — to the same run untraced
-(tests/test_trace_invariants.py pins this).
+(tests/test_trace_invariants.py pins this).  Before sampling, ``emit``
+folds the VM's deferred block ledger (the ``fold`` callable), which only
+moves already-spent application cycles into the accumulator earlier.
 
 **Cycle attribution.**  Each emit samples ``model.total_cycles`` and
 attributes the delta since the previous sample to the *current phase*,
@@ -194,13 +196,16 @@ class TraceSession:
     """
 
     __slots__ = (
-        "spec", "model", "events", "emitted", "phase_cycles",
+        "spec", "model", "fold", "events", "emitted", "phase_cycles",
         "_stack", "_last_cycles", "metrics", "finished",
     )
 
-    def __init__(self, model, spec: TraceSpec | None = None):
+    def __init__(self, model, spec: TraceSpec | None = None, fold=None):
         self.spec = spec if spec is not None else TraceSpec()
         self.model = model
+        #: accounts work the VM has deferred (its block ledger), so the
+        #: sampled total is exact at every event; ``None`` when unused
+        self.fold = fold
         #: ring buffer of ``(seq, cycles, kind, data)`` tuples
         self.events: deque = deque(maxlen=self.spec.ring)
         self.emitted = 0
@@ -214,6 +219,8 @@ class TraceSession:
 
     def emit(self, kind: str, **data) -> None:
         """Record one structured event (pure observation, zero charges)."""
+        if self.fold is not None:
+            self.fold()
         cycles = self.model.total_cycles
         delta = cycles - self._last_cycles
         if delta:

@@ -21,7 +21,7 @@ from repro.isa.assembler import assemble
 from repro.isa.program import DATA_BASE
 from repro.lang import compile_to_program
 from repro.machine.engine import ENGINES
-from repro.machine.errors import FuelExhausted
+from repro.machine.errors import FuelExhausted, GuestFault
 from repro.machine.interpreter import Interpreter
 from repro.sdt.config import SDTConfig
 from repro.sdt.vm import SDTVM
@@ -241,6 +241,66 @@ class TestFuelParity:
                     vm.run(fuel)
                 counts.add(vm.retired)
             assert counts == {fuel}
+
+    @staticmethod
+    def _interrupted(program, run, exc_type, same_pc: bool) -> None:
+        """Every engine, both hosts, stops with identical accounting.
+
+        The threaded fast path defers class counts and APP cycles to a
+        block ledger; an interrupted run must still fold all of it.
+        ``same_pc`` also compares ``cpu.pc`` (pinned for faults only).
+        """
+        for host in ("native", "sdt"):
+            accounts = {}
+            for engine in ENGINES:
+                if host == "native":
+                    model = HostModel(X86_P4)
+                    runner = Interpreter(
+                        program, observer=NativeCostObserver(model),
+                        engine=engine,
+                    )
+                else:
+                    runner = SDTVM(
+                        program,
+                        config=SDTConfig(profile=X86_P4, engine=engine),
+                    )
+                    model = runner.model
+                with pytest.raises(exc_type):
+                    run(runner)
+                accounts[engine] = (
+                    runner.retired, dict(runner.iclass_counts),
+                    model.breakdown(), runner.cpu.pc if same_pc else None,
+                )
+            for engine in ENGINES:
+                assert accounts[engine] == accounts["oracle"], (host, engine)
+
+    def test_accounting_identical_at_fuel_exhaustion(self):
+        program = compile_to_program(_FIB)
+        for fuel in (17, 101, 1234, 3000):
+            self._interrupted(
+                program, lambda runner: runner.run(fuel), FuelExhausted,
+                same_pc=False,
+            )
+
+    def test_accounting_identical_at_mid_block_guest_fault(self):
+        # 200 loop trips fill the ledger before the misaligned load
+        # faults inside the next block
+        program = assemble(
+            ".text\n"
+            "    li t0, 200\n"
+            "loop:\n"
+            "    addi t1, t1, 3\n"
+            "    addi t0, t0, -1\n"
+            "    bne t0, zero, loop\n"
+            "    addi t2, zero, 1\n"
+            "    addi t3, zero, 2\n"
+            "    lw t4, 1(zero)\n"
+            "    addi t5, zero, 1\n"
+            "    halt\n"
+        )
+        self._interrupted(
+            program, lambda runner: runner.run(), GuestFault, same_pc=True
+        )
 
     def test_exact_fuel_completes_without_exhaustion(self):
         program = compile_to_program(_FIB)

@@ -30,7 +30,8 @@ class TestFragment:
 
     def test_exit_site_is_last_instruction(self):
         frag = make_fragment(0x1000, 4)
-        frag.fc_addr = 0x100
+        frag.place(0x100)
+        assert frag.fc_addr == 0x100
         assert frag.exit_site == 0x100 + 12
 
     def test_exit_kind_mapping(self):
