@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import os
 import re
+from array import array
 from typing import Callable, NamedTuple
 
 from repro.isa.instruction import Instruction
@@ -57,7 +58,7 @@ from repro.isa.opcodes import OP_TABLE, Fmt, InstrClass, Op
 from repro.isa.registers import REG_RA
 from repro.machine.cpu import CPUState, s32
 from repro.machine.executor import _sdiv, _srem, execute
-from repro.machine.memory import Memory
+from repro.machine.memory import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, Memory
 from repro.machine.syscalls import SyscallHandler
 
 #: The execution engines.  ``oracle`` steps through
@@ -103,9 +104,9 @@ class OpRule(NamedTuple):
     (:func:`repro.machine.tier2.instr_source`).  Templates name
     ``{rd}``/``{rs}``/``{rt}`` (the register an instruction field
     selects), ``{ra}`` (the link register), ``{imm}`` (the immediate
-    after ``fold``), ``{npc}`` (the fall-through address) and the
-    constants ``{U32}``/``{SBIT}``; the callables they use are the keys
-    of :data:`MEM_ACCESSORS` and :data:`HELPERS`.
+    after ``fold``), ``{npc}`` (the fall-through address) and the keys
+    of :data:`CONSTANTS`; the other names they use are the keys of
+    :data:`MEM_ACCESSORS` and :data:`HELPERS`.
     """
 
     #: register field the statement writes; a result for r0 is left to
@@ -168,14 +169,25 @@ SEMANTICS: dict[Op, OpRule] = {
     Op.LUI: OpRule("rt", "{rt} = {imm}",
                    fold=lambda instr, pc: (instr.imm << 16) & U32),
     # -- memory (sign extension ORs in 0xFFFFFF00 / 0xFFFF0000)
-    Op.LW: OpRule("rt", "{rt} = _mlw(({rs} + {imm}) & {U32})"),
+    # an aligned word access to a listed page indexes its array inline;
+    # a miss, a misaligned address or (for SW) a watched page takes the
+    # accessor, which faults, allocates or fires the write watch.  SW
+    # stays one line by letting the accessor path finish on a scratch
+    # page (docs/performance.md, "Guest memory")
+    Op.LW: OpRule("rt", "_a = ({rs} + {imm}) & {U32}; "
+                  "_p = _pg.get(_a >> {PSHIFT}); "
+                  "{rt} = _mlw(_a) if _a & 3 or _p is None "
+                  "else _p[(_a & {PMASK}) >> 2]"),
     Op.LB: OpRule("rt", "_t = _mlb(({rs} + {imm}) & {U32}); "
                   "{rt} = _t | 4294967040 if _t & 0x80 else _t"),
     Op.LBU: OpRule("rt", "{rt} = _mlb(({rs} + {imm}) & {U32})"),
     Op.LH: OpRule("rt", "_t = _mlh(({rs} + {imm}) & {U32}); "
                   "{rt} = _t | 4294901760 if _t & 0x8000 else _t"),
     Op.LHU: OpRule("rt", "{rt} = _mlh(({rs} + {imm}) & {U32})"),
-    Op.SW: OpRule(None, "_msw(({rs} + {imm}) & {U32}, {rt})"),
+    Op.SW: OpRule(None, "_a = ({rs} + {imm}) & {U32}; "
+                  "_p = None if _a & 3 else _sp.get(_a >> {PSHIFT}); "
+                  "(_p if _p is not None else _msw(_a, {rt}) or _sink)"
+                  "[(_a & {PMASK}) >> 2] = {rt}"),
     Op.SB: OpRule(None, "_msb(({rs} + {imm}) & {U32}, {rt})"),
     Op.SH: OpRule(None, "_msh(({rs} + {imm}) & {U32}, {rt})"),
     # -- control
@@ -194,15 +206,22 @@ SEMANTICS: dict[Op, OpRule] = {
     Op.RET: OpRule(next="{ra}"),
 }
 
-#: Template name -> :class:`Memory` method, for the accessors templates
-#: call.
+#: Template name -> :class:`Memory` attribute: the accessors templates
+#: call and the page dicts inline word accesses index.
 MEM_ACCESSORS = {
     "_mlw": "load_word", "_mlh": "load_half", "_mlb": "load_byte",
     "_msw": "store_word", "_msh": "store_half", "_msb": "store_byte",
+    "_pg": "pages", "_sp": "store_pages",
 }
 
-#: Arithmetic helpers templates call.
-HELPERS = {"_sx": s32, "_sdiv": _sdiv, "_srem": _srem}
+#: Arithmetic helpers templates call, and the scratch page an ``SW``
+#: that took the accessor path finishes its inline store on.
+HELPERS = {"_sx": s32, "_sdiv": _sdiv, "_srem": _srem,
+           "_sink": array("I", bytes(PAGE_SIZE))}
+
+#: Constants templates name; both renderings inline their values.
+CONSTANTS = {"U32": U32, "SBIT": _SBIT, "PSHIFT": PAGE_SHIFT,
+             "PMASK": PAGE_MASK}
 
 #: Register operands per format in assembly order, the order closures
 #: take them as parameters; ``ra`` is the implicit link register.
@@ -222,11 +241,11 @@ OPERANDS: dict[Op, tuple[str, ...]] = {
 }
 
 #: How closures spell template fields: registers index the bound
-#: register file, constants are module globals, the rest are parameters.
+#: register file, constants are literals, the rest are parameters.
 _CLOSURE_FIELDS = {
     "rd": "regs[rd]", "rs": "regs[rs]", "rt": "regs[rt]",
     "ra": "regs[REG_RA]", "imm": "imm", "npc": "npc", "link": "link",
-    "U32": "U32", "SBIT": "_SBIT",
+    **{name: str(value) for name, value in CONSTANTS.items()},
 }
 
 _TOKEN_RE = re.compile(r"[A-Za-z_]\w*")
@@ -278,7 +297,7 @@ def _factory_source(op: Op, rule: OpRule) -> str:
 
 def _build_factories() -> dict[Op, Callable]:
     """Render :data:`SEMANTICS` into one closure factory per op."""
-    ns = {"U32": U32, "_SBIT": _SBIT, "REG_RA": REG_RA, **HELPERS}
+    ns = {"U32": U32, "REG_RA": REG_RA, **HELPERS}
     ns.update((f"_fold_{op.name}", rule.fold)
               for op, rule in SEMANTICS.items() if rule.fold)
     source = "\n\n".join(_factory_source(op, rule)

@@ -1,9 +1,19 @@
-"""Sparse byte-addressed guest memory.
+"""Sparse word-addressed guest memory.
 
 Memory is organised as 4 KiB pages allocated on first touch, so the guest's
-widely separated text / data / stack regions do not cost host RAM.  All
+widely separated text / data / stack regions do not cost host RAM.  Each
+page is a 1024-word ``array('I')``: a word access is one array index, and
+byte and half-word accesses shift and mask the word that holds them.  All
 multi-byte accesses are little-endian and must be naturally aligned (SR32
 has no unaligned accesses, which keeps the SDT's fetch path simple).
+Loads from an unmapped page read 0 and allocate nothing.
+
+Words hold their guest *values*, so word, half and byte accesses do not
+depend on the host's byte order.  Only the bulk copies
+(:meth:`Memory.write_bytes`, :meth:`Memory.read_bytes`,
+:meth:`Memory.read_cstring`) see a page's raw bytes, through
+``memoryview(page).cast("B")``; on a big-endian host they byteswap the
+words around the copy, so guest memory stays little-endian everywhere.
 
 Write watch
 -----------
@@ -13,13 +23,26 @@ hook point so execution engines can detect guest writes to translated
 code (:mod:`repro.sdt.coherence`, the interpreter's block caches).  The
 owner registers a hook with :meth:`Memory.set_write_watch` and marks
 pages of interest with :meth:`Memory.watch_page`; the hook fires *after*
-the bytes land, with the store's address and length.  When no watch is
-installed the per-store cost is a single attribute load and ``is None``
-test, so coherence-off configurations pay nothing measurable.
+the bytes land, with the store's address and length.
+
+Fast stores
+-----------
+
+Besides :attr:`Memory.pages` (every resident page), memory keeps
+:attr:`Memory.store_pages`: the resident pages that are *not* watched.
+A store whose page is listed there needs no watch test at all, so the
+compiled tiers (:data:`repro.machine.engine.SEMANTICS`) index those
+arrays inline and take the accessor only on a miss.  ``watch_page``
+drops a page from the dict and ``unwatch_page`` /
+``set_write_watch(None)`` put resident pages back, so a store to a
+watched page always reaches the hook.  Both dicts keep their identity
+for the life of the :class:`Memory`, because compiled code binds them.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from typing import Callable
 
 from repro.machine.errors import AlignmentFault, MemoryFault
@@ -29,28 +52,71 @@ PAGE_SIZE = 1 << PAGE_SHIFT
 PAGE_MASK = PAGE_SIZE - 1
 ADDR_LIMIT = 1 << 32
 
+#: A fresh page is a copy of this one.
+_ZERO_PAGE = array("I", bytes(PAGE_SIZE))
+if _ZERO_PAGE.itemsize != 4:  # pragma: no cover - no such CPython host
+    raise ImportError("guest memory needs a 4-byte array('I') item")
+
+#: Native word layout is big-endian, so bulk copies byteswap.
+_BIG_ENDIAN = sys.byteorder == "big"
+
 #: Write-watch callback: ``hook(addr, length)`` after the store landed.
 WriteWatch = Callable[[int, int], None]
 
 
-class Memory:
-    """Sparse 32-bit guest address space."""
+def _get_bytes(page: array, start: int, stop: int) -> bytes:
+    """Guest bytes ``[start, stop)`` of one page, little-endian."""
+    if _BIG_ENDIAN:
+        base = start & ~3
+        words = page[base >> 2:(stop + 3) >> 2]
+        words.byteswap()
+        return memoryview(words).cast("B")[start - base:stop - base].tobytes()
+    return memoryview(page).cast("B")[start:stop].tobytes()
 
-    __slots__ = ("_pages", "_watched", "_watch_hook")
+
+def _put_bytes(page: array, start: int, data) -> None:
+    """Copy ``data`` into one page at byte offset ``start``, little-endian."""
+    if _BIG_ENDIAN:
+        page.byteswap()
+    memoryview(page).cast("B")[start:start + len(data)] = data
+    if _BIG_ENDIAN:
+        page.byteswap()
+
+
+class Memory:
+    """Sparse 32-bit guest address space.
+
+    Attributes:
+        pages: page index -> word array, every resident page.
+        store_pages: the resident pages no write watch covers.  Compiled
+            code binds both dicts; callers must not mutate them.
+    """
+
+    __slots__ = ("pages", "store_pages", "_watched", "_watch_hook")
 
     def __init__(self) -> None:
-        self._pages: dict[int, bytearray] = {}
-        #: watched page indices, or None when no watch is installed (the
-        #: fast-path guard tests this one attribute)
+        self.pages: dict[int, array] = {}
+        self.store_pages: dict[int, array] = {}
+        #: watched page indices, or None when no watch is installed
         self._watched: set[int] | None = None
         self._watch_hook: WriteWatch | None = None
 
-    def _page(self, addr: int) -> bytearray:
-        page = self._pages.get(addr >> PAGE_SHIFT)
+    def _page(self, index: int) -> array:
+        """The page a store into page ``index`` lands in, allocated on
+        first touch (and listed as a fast-store page unless watched)."""
+        page = self.pages.get(index)
         if page is None:
-            page = bytearray(PAGE_SIZE)
-            self._pages[addr >> PAGE_SHIFT] = page
+            page = self.pages[index] = _ZERO_PAGE[:]
+            watched = self._watched
+            if watched is None or index not in watched:
+                self.store_pages[index] = page
         return page
+
+    def _notify(self, index: int, addr: int, length: int) -> None:
+        """Fire the watch hook if page ``index`` is watched."""
+        watched = self._watched
+        if watched is not None and index in watched:
+            self._watch_hook(addr, length)
 
     def _fail(self, addr: int, width: int, op: str) -> None:
         """Raise for an access rejected by a fast-path guard.
@@ -75,6 +141,8 @@ class Memory:
         multiplexes if it needs more.
         """
         if hook is None:
+            for index in self._watched or ():
+                self._relist(index)
             self._watched = None
             self._watch_hook = None
             return
@@ -88,11 +156,20 @@ class Memory:
             raise ValueError("watch_page requires set_write_watch first")
         assert self._watched is not None
         self._watched.add(page_index)
+        self.store_pages.pop(page_index, None)
 
     def unwatch_page(self, page_index: int) -> None:
         """Stop watching one page (missing pages are ignored)."""
-        if self._watched is not None:
-            self._watched.discard(page_index)
+        watched = self._watched
+        if watched is not None and page_index in watched:
+            watched.discard(page_index)
+            self._relist(page_index)
+
+    def _relist(self, page_index: int) -> None:
+        """Put a no longer watched page back among the fast-store pages."""
+        page = self.pages.get(page_index)
+        if page is not None:
+            self.store_pages[page_index] = page
 
     def watched_pages(self) -> frozenset[int]:
         """Currently watched page indices (introspection/tests)."""
@@ -102,64 +179,67 @@ class Memory:
     #
     # Bounds + alignment are folded into a single inline guard per access
     # (no helper-call on the hot path); an aligned in-range access never
-    # crosses a page, so one page lookup suffices.
+    # crosses a word, so one page lookup and one index suffice.
 
     def load_byte(self, addr: int) -> int:
         if not 0 <= addr < ADDR_LIMIT:
             raise MemoryFault(addr, "load")
-        page = self._pages.get(addr >> PAGE_SHIFT)
+        page = self.pages.get(addr >> PAGE_SHIFT)
         if page is None:
             return 0
-        return page[addr & PAGE_MASK]
+        return (page[(addr & PAGE_MASK) >> 2] >> ((addr & 3) << 3)) & 0xFF
 
     def load_half(self, addr: int) -> int:
         if addr & 1 or addr < 0 or addr > ADDR_LIMIT - 2:
             self._fail(addr, 2, "load")
-        page = self._pages.get(addr >> PAGE_SHIFT)
+        page = self.pages.get(addr >> PAGE_SHIFT)
         if page is None:
             return 0
-        off = addr & PAGE_MASK
-        return page[off] | (page[off + 1] << 8)
+        return (page[(addr & PAGE_MASK) >> 2] >> ((addr & 2) << 3)) & 0xFFFF
 
     def load_word(self, addr: int) -> int:
         if addr & 3 or addr < 0 or addr > ADDR_LIMIT - 4:
             self._fail(addr, 4, "load")
-        page = self._pages.get(addr >> PAGE_SHIFT)
+        page = self.pages.get(addr >> PAGE_SHIFT)
         if page is None:
             return 0
-        off = addr & PAGE_MASK
-        return int.from_bytes(page[off : off + 4], "little")
+        return page[(addr & PAGE_MASK) >> 2]
 
     # -- stores ------------------------------------------------------------
 
     def store_byte(self, addr: int, value: int) -> None:
         if not 0 <= addr < ADDR_LIMIT:
             raise MemoryFault(addr, "store")
-        self._page(addr)[addr & PAGE_MASK] = value & 0xFF
-        watched = self._watched
-        if watched is not None and (addr >> PAGE_SHIFT) in watched:
-            self._watch_hook(addr, 1)
+        self._merge(addr, 0xFF, value, 1)
 
     def store_half(self, addr: int, value: int) -> None:
         if addr & 1 or addr < 0 or addr > ADDR_LIMIT - 2:
             self._fail(addr, 2, "store")
-        page = self._page(addr)
-        off = addr & PAGE_MASK
-        page[off] = value & 0xFF
-        page[off + 1] = (value >> 8) & 0xFF
-        watched = self._watched
-        if watched is not None and (addr >> PAGE_SHIFT) in watched:
-            self._watch_hook(addr, 2)
+        self._merge(addr, 0xFFFF, value, 2)
+
+    def _merge(self, addr: int, mask: int, value: int, length: int) -> None:
+        """Store the ``mask``-wide field at ``addr`` into its word."""
+        index = addr >> PAGE_SHIFT
+        page = self.store_pages.get(index)
+        slow = page is None
+        if slow:
+            page = self._page(index)
+        off = (addr & PAGE_MASK) >> 2
+        shift = (addr & 3) << 3
+        page[off] = (page[off] & ~(mask << shift)) | ((value & mask) << shift)
+        if slow:
+            self._notify(index, addr, length)
 
     def store_word(self, addr: int, value: int) -> None:
         if addr & 3 or addr < 0 or addr > ADDR_LIMIT - 4:
             self._fail(addr, 4, "store")
-        page = self._page(addr)
-        off = addr & PAGE_MASK
-        page[off : off + 4] = (value & 0xFFFFFFFF).to_bytes(4, "little")
-        watched = self._watched
-        if watched is not None and (addr >> PAGE_SHIFT) in watched:
-            self._watch_hook(addr, 4)
+        index = addr >> PAGE_SHIFT
+        page = self.store_pages.get(index)
+        if page is not None:
+            page[(addr & PAGE_MASK) >> 2] = value & 0xFFFFFFFF
+            return
+        self._page(index)[(addr & PAGE_MASK) >> 2] = value & 0xFFFFFFFF
+        self._notify(index, addr, 4)
 
     # -- bulk --------------------------------------------------------------
 
@@ -177,21 +257,15 @@ class Memory:
             raise MemoryFault(addr, "store")
         length = len(data)
         prefix = min(length, ADDR_LIMIT - addr) if addr < ADDR_LIMIT else 0
-        pages = self._pages
-        watched = self._watched
+        view = memoryview(data)
         pos = 0
         cursor = addr
         while pos < prefix:
             off = cursor & PAGE_MASK
             take = min(PAGE_SIZE - off, prefix - pos)
             index = cursor >> PAGE_SHIFT
-            page = pages.get(index)
-            if page is None:
-                page = bytearray(PAGE_SIZE)
-                pages[index] = page
-            page[off : off + take] = data[pos : pos + take]
-            if watched is not None and index in watched:
-                self._watch_hook(cursor, take)
+            _put_bytes(self._page(index), off, view[pos:pos + take])
+            self._notify(index, cursor, take)
             pos += take
             cursor += take
         if prefix < length:
@@ -204,7 +278,7 @@ class Memory:
         if addr < 0:
             raise MemoryFault(addr, "load")
         prefix = min(length, ADDR_LIMIT - addr) if addr < ADDR_LIMIT else 0
-        pages = self._pages
+        pages = self.pages
         out = bytearray()
         pos = 0
         cursor = addr
@@ -215,7 +289,7 @@ class Memory:
             if page is None:
                 out.extend(b"\x00" * take)
             else:
-                out.extend(page[off : off + take])
+                out.extend(_get_bytes(page, off, off + take))
             pos += take
             cursor += take
         if prefix < length:
@@ -223,16 +297,34 @@ class Memory:
         return bytes(out)
 
     def read_cstring(self, addr: int, limit: int = 1 << 16) -> str:
-        """Read a NUL-terminated string (bounded by ``limit`` bytes)."""
+        """Read a NUL-terminated string (bounded by ``limit`` bytes).
+
+        Scans one page slice at a time.  Faults like a per-byte
+        ``load_byte`` loop would: at the first out-of-range address the
+        scan reaches, or with ``"unterminated string"`` when ``limit``
+        bytes hold no NUL.
+        """
         out = bytearray()
-        for offset in range(limit):
-            byte = self.load_byte(addr + offset)
-            if byte == 0:
+        cursor = addr
+        end = addr + limit
+        while cursor < end:
+            if not 0 <= cursor < ADDR_LIMIT:
+                raise MemoryFault(cursor, "load")
+            off = cursor & PAGE_MASK
+            stop = min(PAGE_SIZE, off + min(end, ADDR_LIMIT) - cursor)
+            page = self.pages.get(cursor >> PAGE_SHIFT)
+            if page is None:
                 return out.decode("latin-1")
-            out.append(byte)
+            chunk = _get_bytes(page, off, stop)
+            nul = chunk.find(0)
+            if nul >= 0:
+                out += chunk[:nul]
+                return out.decode("latin-1")
+            out += chunk
+            cursor += stop - off
         raise MemoryFault(addr, "unterminated string")
 
     @property
     def resident_pages(self) -> int:
         """Number of host-allocated guest pages (for stats)."""
-        return len(self._pages)
+        return len(self.pages)

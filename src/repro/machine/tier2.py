@@ -64,8 +64,8 @@ from repro.isa.instruction import Instruction
 from repro.isa.opcodes import CONTROL_CLASSES, InstrClass, Op
 from repro.isa.registers import REG_RA
 from repro.machine.engine import (
-    _SBIT,
     _TOKEN_RE,
+    CONSTANTS,
     HELPERS,
     MEM_ACCESSORS,
     OPERANDS,
@@ -119,7 +119,7 @@ def instr_source(
     npc = (pc + 4) & U32
     imm = rule.fold(instr, pc) if rule.fold else instr.imm
     fields = {name: _read(reg) for name, reg in regs.items()}
-    fields.update(imm=imm, npc=npc, link=npc, U32=U32, SBIT=_SBIT)
+    fields.update(CONSTANTS, imm=imm, npc=npc, link=npc)
     if rule.next is None:
         written = regs[rule.dest] if rule.dest else 0
         if rule.dest and not written:

@@ -425,6 +425,73 @@ class TestInterpreterThreaded:
         assert run_minic(SOURCE).exit_code == 0
 
 
+#: Both renderings of an instruction: a threaded closure and a
+#: one-instruction tier-2 function.
+RENDERINGS = {"threaded": compile_instr, "tier2": _tier2_step}
+
+
+@pytest.mark.parametrize("render", RENDERINGS.values(), ids=RENDERINGS)
+class TestInlineWordAccess:
+    """Inline LW/SW stay coherent with the page dicts and the watch."""
+
+    SW = Instruction(op=Op.SW, rt=2, rs=1, imm=8)
+    LW = Instruction(op=Op.LW, rt=3, rs=1, imm=8)
+
+    def _bound(self, render, instr, base):
+        cpu, mem, sys_ = CPUState(pc=PC), Memory(), SyscallHandler()
+        cpu.regs[1] = base
+        return render(PC, instr, cpu, mem, sys_), cpu, mem
+
+    def test_store_reaches_hook_only_while_watched(self, render):
+        addr = MEM_BASE + 8
+        step, cpu, mem = self._bound(render, self.SW, MEM_BASE)
+        cpu.regs[2] = 0x11
+        step()  # listed page: the inline store
+        fired: list[tuple[int, int]] = []
+        mem.set_write_watch(lambda a, n: fired.append((a, n)))
+        mem.watch_page(addr >> 12)
+        cpu.regs[2] = 0x22
+        step()
+        assert fired == [(addr, 4)] and mem.load_word(addr) == 0x22
+        mem.unwatch_page(addr >> 12)
+        cpu.regs[2] = 0x33
+        step()
+        assert fired == [(addr, 4)] and mem.load_word(addr) == 0x33
+        mem.watch_page(addr >> 12)
+        mem.set_write_watch(None)
+        cpu.regs[2] = 0x44
+        step()
+        assert fired == [(addr, 4)] and mem.load_word(addr) == 0x44
+
+    def test_first_store_allocates_one_page(self, render):
+        step, cpu, mem = self._bound(render, self.SW, MEM_BASE)
+        cpu.regs[2] = 0xCAFE
+        step()
+        assert mem.resident_pages == 1
+        assert mem.load_word(MEM_BASE + 8) == 0xCAFE
+
+    def test_unmapped_load_reads_zero_without_allocating(self, render):
+        step, cpu, mem = self._bound(render, self.LW, MEM_BASE)
+        cpu.regs[3] = 0xFFFF
+        assert step() == PC + 4
+        assert cpu.regs[3] == 0 and mem.resident_pages == 0
+
+    @pytest.mark.parametrize("base", [MEM_BASE + 2, 0xFFFF_FFF5])
+    def test_misaligned_faults_like_the_accessor(self, render, base):
+        addr = (base + 8) & 0xFFFFFFFF
+        for instr, accessor in ((self.LW, Memory.load_word),
+                                (self.SW, lambda m, a: m.store_word(a, 0))):
+            step, _cpu, mem = self._bound(render, instr, base)
+            mem.store_word(addr & ~3, 7)  # the page is listed
+            with pytest.raises(GuestFault) as got:
+                step()
+            with pytest.raises(GuestFault) as want:
+                accessor(Memory(), addr)
+            assert (type(got.value), got.value.args) == \
+                (type(want.value), want.value.args)
+            assert mem.load_word(addr & ~3) == 7
+
+
 class TestMemoryFastPath:
     def test_bounds_and_alignment_error_order(self):
         from repro.machine.errors import AlignmentFault

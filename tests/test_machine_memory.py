@@ -1,10 +1,23 @@
 """Guest memory: loads/stores, alignment, sparseness, properties."""
 
-import pytest
-from hypothesis import given, strategies as st
+import sys
+from array import array
 
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
+
+from repro.machine import memory as memory_module
 from repro.machine.errors import AlignmentFault, MemoryFault
-from repro.machine.memory import PAGE_SIZE, Memory
+from repro.machine.memory import PAGE_SHIFT, PAGE_SIZE, Memory
+
+LIMIT = 1 << 32
 
 
 class TestBasicAccess:
@@ -75,6 +88,25 @@ class TestFaults:
         with pytest.raises(MemoryFault):
             mem.read_cstring(0, limit=4)
 
+    def test_unterminated_cstring_faults_at_limit(self):
+        # a page-crossing run of non-NUL bytes stops at limit exactly
+        mem = Memory()
+        start = PAGE_SIZE - 5
+        mem.write_bytes(start, b"x" * 16)
+        assert mem.read_cstring(start, limit=17) == "x" * 16
+        with pytest.raises(MemoryFault) as excinfo:
+            mem.read_cstring(start, limit=16)
+        assert excinfo.value.addr == start
+        assert "unterminated string" in str(excinfo.value)
+
+    def test_cstring_running_off_the_top_faults_at_limit_address(self):
+        mem = Memory()
+        mem.write_bytes(LIMIT - 3, b"abc")
+        with pytest.raises(MemoryFault) as excinfo:
+            mem.read_cstring(LIMIT - 3)
+        assert excinfo.value.addr == LIMIT
+        assert "load" in str(excinfo.value)
+
 
 class TestBulk:
     def test_write_read_bytes(self):
@@ -86,6 +118,19 @@ class TestBulk:
         mem = Memory()
         mem.write_bytes(0x200, b"guest\0")
         assert mem.read_cstring(0x200) == "guest"
+
+    def test_cstring_across_page_boundary(self):
+        mem = Memory()
+        text = bytes(range(1, 256)) * 20  # > one page of non-NUL bytes
+        start = 2 * PAGE_SIZE - 7
+        mem.write_bytes(start, text + b"\0")
+        assert mem.read_cstring(start) == text.decode("latin-1")
+
+    def test_cstring_ends_at_unmapped_page(self):
+        mem = Memory()
+        mem.write_bytes(PAGE_SIZE - 3, b"abc")  # page 1 stays unmapped
+        assert mem.read_cstring(PAGE_SIZE - 3) == "abc"
+        assert mem.resident_pages == 1
 
     def test_resident_pages_sparse(self):
         mem = Memory()
@@ -231,6 +276,21 @@ class TestWriteWatch:
         mem.set_write_watch(None)
         assert mem.watched_pages() == frozenset()
 
+    def test_fast_store_dict_tracks_watch(self):
+        # store_pages lists exactly the resident pages no watch covers
+        mem, fired = self._armed()
+        mem.store_word(0, 1)
+        mem.watch_page(0)
+        mem.watch_page(1)
+        assert mem.store_pages == {}
+        mem.store_word(PAGE_SIZE, 2)  # allocates a watched page
+        assert mem.store_pages == {} and mem.resident_pages == 2
+        mem.unwatch_page(0)
+        assert mem.store_pages == {0: mem.pages[0]}
+        mem.set_write_watch(None)
+        assert mem.store_pages == mem.pages
+        assert fired == [(PAGE_SIZE, 4)]
+
     def test_watch_page_requires_hook(self):
         mem = Memory()
         with pytest.raises(ValueError):
@@ -280,3 +340,227 @@ def test_word_byte_agreement_property(addr, value):
     mem.store_word(addr, value)
     recomposed = sum(mem.load_byte(addr + i) << (8 * i) for i in range(4))
     assert recomposed == value
+
+
+# -- reference model ---------------------------------------------------------
+
+
+class _ModelMemory:
+    """Dict-of-bytes reference for :class:`Memory`, written independently
+    of its page layout: one entry per byte ever stored, the set of pages
+    a store touched, and the write watch as a set plus a call log."""
+
+    def __init__(self) -> None:
+        self.data: dict[int, int] = {}
+        self.resident: set[int] = set()
+        self.hooked = False
+        self.watched: set[int] = set()
+        self.calls: list[tuple[int, int]] = []
+
+    @staticmethod
+    def check(addr: int, width: int, op: str) -> None:
+        if not 0 <= addr <= LIMIT - width:
+            raise MemoryFault(addr, op)
+        if addr % width:
+            raise AlignmentFault(addr, width)
+
+    def load(self, addr: int, width: int) -> int:
+        self.check(addr, width, "load")
+        return sum(self.data.get(addr + i, 0) << (8 * i) for i in range(width))
+
+    def _land(self, addr: int, chunk: bytes) -> None:
+        for i, byte in enumerate(chunk):
+            self.data[addr + i] = byte
+        page = addr >> PAGE_SHIFT
+        self.resident.add(page)
+        if self.hooked and page in self.watched:
+            self.calls.append((addr, len(chunk)))
+
+    def store(self, addr: int, width: int, value: int) -> None:
+        self.check(addr, width, "store")
+        self._land(addr, (value & ((1 << 8 * width) - 1)).to_bytes(width,
+                                                                   "little"))
+
+    def write_bytes(self, addr: int, data: bytes) -> None:
+        if not data:
+            return
+        if addr < 0:
+            raise MemoryFault(addr, "store")
+        cursor = addr
+        while cursor < addr + len(data) and cursor < LIMIT:
+            stop = min((cursor | (PAGE_SIZE - 1)) + 1, addr + len(data))
+            self._land(cursor, data[cursor - addr:stop - addr])
+            cursor = stop
+        if cursor < addr + len(data):
+            raise MemoryFault(cursor, "store")
+
+    def read_bytes(self, addr: int, length: int) -> bytes:
+        if length <= 0:
+            return b""
+        if addr < 0:
+            raise MemoryFault(addr, "load")
+        out = bytearray()
+        for a in range(addr, addr + length):
+            if a >= LIMIT:
+                raise MemoryFault(a, "load")
+            out.append(self.data.get(a, 0))
+        return bytes(out)
+
+    def read_cstring(self, addr: int, limit: int) -> str:
+        out = bytearray()
+        for a in range(addr, addr + limit):
+            if not 0 <= a < LIMIT:
+                raise MemoryFault(a, "load")
+            byte = self.data.get(a, 0)
+            if byte == 0:
+                return out.decode("latin-1")
+            out.append(byte)
+        raise MemoryFault(addr, "unterminated string")
+
+
+#: Addresses a few bytes either side of page edges, the bottom and the
+#: top of the address space: misaligned, page-crossing, negative and
+#: out-of-range accesses all come from here.
+_ADDRS = st.builds(
+    lambda base, delta: base + delta,
+    st.sampled_from([0, PAGE_SIZE, 2 * PAGE_SIZE, LIMIT - PAGE_SIZE, LIMIT]),
+    st.integers(-9, 9),
+)
+_PAGES = st.sampled_from([0, 1, 2, (LIMIT >> PAGE_SHIFT) - 1])
+_WIDTHS = st.sampled_from([1, 2, 4])
+
+
+def _outcome(fn):
+    """``fn()``'s result, or its fault as ``(type, addr, message)``."""
+    try:
+        return fn()
+    except (MemoryFault, AlignmentFault) as exc:
+        return type(exc), exc.addr, str(exc)
+
+
+class MemoryMachine(RuleBasedStateMachine):
+    """:class:`Memory` against :class:`_ModelMemory`, rule by rule.
+
+    The oracle executor shares :class:`Memory` with every engine, so the
+    engine differential cannot catch a bug here; this model can.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.mem = Memory()
+        self.model = _ModelMemory()
+        self.calls: list[tuple[int, int]] = []
+
+    def _same(self, got, want) -> None:
+        assert _outcome(got) == _outcome(want)
+
+    @rule(addr=_ADDRS, width=_WIDTHS)
+    def load(self, addr, width):
+        method = {1: self.mem.load_byte, 2: self.mem.load_half,
+                  4: self.mem.load_word}[width]
+        self._same(lambda: method(addr), lambda: self.model.load(addr, width))
+
+    @rule(addr=_ADDRS, width=_WIDTHS, value=st.integers(0, (1 << 33) - 1))
+    def store(self, addr, width, value):
+        method = {1: self.mem.store_byte, 2: self.mem.store_half,
+                  4: self.mem.store_word}[width]
+        self._same(lambda: method(addr, value),
+                   lambda: self.model.store(addr, width, value))
+
+    @rule(addr=_ADDRS, data=st.binary(max_size=PAGE_SIZE + 9))
+    def write_bytes(self, addr, data):
+        self._same(lambda: self.mem.write_bytes(addr, data),
+                   lambda: self.model.write_bytes(addr, data))
+
+    @rule(addr=_ADDRS, length=st.integers(-1, PAGE_SIZE + 9))
+    def read_bytes(self, addr, length):
+        self._same(lambda: self.mem.read_bytes(addr, length),
+                   lambda: self.model.read_bytes(addr, length))
+
+    @rule(addr=_ADDRS, limit=st.integers(0, 24))
+    def read_cstring(self, addr, limit):
+        self._same(lambda: self.mem.read_cstring(addr, limit),
+                   lambda: self.model.read_cstring(addr, limit))
+
+    @initialize(hooked=st.booleans())
+    def start(self, hooked):
+        if hooked:
+            self.set_hook()
+
+    @rule()
+    def set_hook(self):
+        self.mem.set_write_watch(lambda addr, n: self.calls.append((addr, n)))
+        self.model.hooked = True
+
+    @rule()
+    def clear_hook(self):
+        self.mem.set_write_watch(None)
+        self.model.hooked = False
+        self.model.watched.clear()
+
+    @precondition(lambda self: self.model.hooked)
+    @rule(page=_PAGES)
+    def watch(self, page):
+        self.mem.watch_page(page)
+        self.model.watched.add(page)
+
+    @precondition(lambda self: not self.model.hooked)
+    @rule(page=_PAGES)
+    def watch_without_hook(self, page):
+        with pytest.raises(ValueError):
+            self.mem.watch_page(page)
+
+    @rule(page=_PAGES)
+    def unwatch(self, page):
+        self.mem.unwatch_page(page)
+        self.model.watched.discard(page)
+
+    @invariant()
+    def hook_calls_match(self):
+        assert self.calls == self.model.calls
+
+    @invariant()
+    def pages_match(self):
+        mem, model = self.mem, self.model
+        assert mem.resident_pages == len(model.resident)
+        assert mem.watched_pages() == frozenset(model.watched)
+        # the fast-store dict lists exactly the resident unwatched pages
+        assert set(mem.store_pages) == model.resident - model.watched
+        assert all(mem.store_pages[i] is mem.pages[i]
+                   for i in mem.store_pages)
+
+    @invariant()
+    def bytes_match(self):
+        for addr, byte in self.model.data.items():
+            assert self.mem.load_byte(addr) == byte
+
+
+MemoryMachine.TestCase.settings = settings(max_examples=150,
+                                           stateful_step_count=50,
+                                           deadline=None)
+TestMemoryModel = MemoryMachine.TestCase
+
+
+def test_bulk_copy_byteswap_branch(monkeypatch):
+    """The big-endian bulk-copy path, forced on whatever the host is.
+
+    Bytes must round-trip through it.  On a little-endian host the forced
+    path lays each word out byte-reversed, i.e. as a big-endian host's
+    native words hold the same guest bytes.
+    """
+    data = bytes(range(1, 256)) * 20
+    addr = PAGE_SIZE - 6  # misaligned start, crosses two page edges
+    native = Memory()
+    native.write_bytes(addr, data)
+    monkeypatch.setattr(memory_module, "_BIG_ENDIAN", True)
+    swapped = Memory()
+    swapped.write_bytes(addr, data)
+    assert swapped.read_bytes(addr, len(data)) == data
+    assert swapped.read_bytes(addr + 3, 4099) == data[3:4102]
+    assert swapped.read_cstring(addr) == data.decode("latin-1")
+    if sys.byteorder == "little":
+        assert native.pages.keys() == swapped.pages.keys()
+        for index, page in native.pages.items():
+            words = array("I", page)
+            words.byteswap()
+            assert swapped.pages[index] == words
