@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """CI guard for the parallel executor and disk-cache keying.
 
-Runs the representative E6 grid at tiny scale three times:
+Runs the representative E6 grid at tiny scale four times:
 
 1. serial, no cache          — the reference table,
 2. ``--jobs 2``, cold cache  — must produce byte-identical CSV output,
 3. ``--jobs 2``, warm cache  — must be served >= 90% from the disk cache
-                               and still match byte-for-byte.
+                               and still match byte-for-byte,
+4. ``--jobs 8``, no cache    — E6 has 12 programs, fewer than the 16
+                               tasks 8 workers are fed, so the executor
+                               splits program tasks; must still match.
 
 A keying bug (a field missing from the fingerprint, fuel aliasing, a
 nondeterministic row order) breaks one of these invariants.
@@ -48,9 +51,15 @@ def main() -> int:
           f"{warm.cache_hits}/{warm.unique} cached "
           f"({warm.hit_rate:.0%}) in {warm.elapsed:.1f}s", flush=True)
 
+    clear_caches()
+    _t, split = run_experiments(["e6"], scale="tiny", jobs=8,
+                                results_dir=workdir / "split")
+    print(f"jobs=8 cold:   {split.computed} simulated "
+          f"in {split.elapsed:.1f}s", flush=True)
+
     reference = (workdir / "serial" / CSV_NAME).read_bytes()
     failures = []
-    for label in ("cold", "warm"):
+    for label in ("cold", "warm", "split"):
         if (workdir / label / CSV_NAME).read_bytes() != reference:
             failures.append(
                 f"{label} parallel run produced different {CSV_NAME} "

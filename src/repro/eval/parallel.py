@@ -10,9 +10,11 @@ byte-identical whatever the worker count or completion order.
 
 Flow per batch: dedup cells by fingerprint (first-seen order), serve
 what the disk cache already has, dispatch only the misses (serially
-in-process when ``jobs <= 1``, so the runner's memo caches still apply),
-then persist every newly computed result from the parent — workers never
-write the cache, which keeps persistence single-writer and atomic.
+in-process when ``jobs <= 1``; otherwise one pool task per program, so
+each program is compiled, analysed and baselined once, by one worker's
+memo caches), then persist every newly computed result from the parent
+— workers never write the cache, which keeps persistence single-writer
+and atomic.
 
 The executor is *hardened*: a cell that raises is retried with
 exponential backoff and then quarantined; a worker process that dies
@@ -38,7 +40,9 @@ from repro.eval.backoff import Backoff, BackoffPolicy
 from repro.eval.cells import Cell
 from repro.eval.diskcache import DiskCache
 
-#: Progress callback: called once per unique cell as its result lands.
+#: Progress callback: called once per unique cell as its result lands
+#: (a cache hit at lookup, a computed cell when it is harvested, a failed
+#: one when it is quarantined), so events arrive in completion order.
 ProgressFn = Callable[["CellEvent"], None]
 
 #: Default bounded-retry budget: attempts beyond the first per cell.
@@ -60,9 +64,9 @@ def _backoff_policy(backoff: "float | BackoffPolicy") -> BackoffPolicy:
 
 @dataclass(frozen=True)
 class CellEvent:
-    """One unique cell finished (served from cache or simulated)."""
+    """One unique cell finished (served from cache, simulated or failed)."""
 
-    index: int          #: 1-based position among unique cells
+    index: int          #: 1-based declared position among unique cells
     total: int          #: unique cell count in this batch
     label: str          #: human-readable cell identity
     source: str         #: ``"cache"``, ``"run"`` or ``"failed"``
@@ -119,11 +123,57 @@ def dedup_cells(cells: Iterable[Cell]) -> dict[str, Cell]:
     return unique
 
 
-def _execute_cell(cell: Cell) -> tuple[object, float]:
-    """Worker entry point: run one cell, return (result, seconds)."""
-    start = time.perf_counter()
-    result = cell.execute()
-    return result, time.perf_counter() - start
+#: One worker task: ``(key, cell)`` pairs run in order by one process.
+Task = list[tuple[str, Cell]]
+
+
+def _execute_task(cells: list[Cell]) -> list[tuple[bool, object, float]]:
+    """Worker entry point: run ``cells`` in order, one outcome each.
+
+    An outcome is ``(True, result, seconds)`` or ``(False, exception,
+    seconds)``: a cell that raises does not stop the cells after it.
+    """
+    outcomes: list[tuple[bool, object, float]] = []
+    for cell in cells:
+        start = time.perf_counter()
+        try:
+            ok, value = True, cell.execute()
+        except Exception as exc:
+            ok, value = False, exc
+        outcomes.append((ok, value, time.perf_counter() - start))
+    return outcomes
+
+
+def _program_tasks(pending: list[tuple[str, Cell]], jobs: int) -> list[Task]:
+    """First-round tasks: one per program, split to feed ``jobs`` workers.
+
+    Cells are grouped by ``workload_name`` (groups in first-seen order,
+    cells in declared order), so one worker's memo caches compile,
+    analyse and baseline each program once.  A cell without a
+    ``workload_name`` is a group of its own.  While there are fewer than
+    ``2 * jobs`` groups, the largest (the first, on ties) is split into
+    two halves in place, until there are ``2 * jobs`` groups or every
+    group is one cell.
+    """
+    tasks: list[Task] = []
+    by_program: dict[str, Task] = {}
+    for key, cell in pending:
+        name = getattr(cell, "workload_name", None)
+        if name is None:
+            tasks.append([(key, cell)])
+        elif name in by_program:
+            by_program[name].append((key, cell))
+        else:
+            by_program[name] = [(key, cell)]
+            tasks.append(by_program[name])
+    while tasks and len(tasks) < 2 * jobs:
+        index = max(range(len(tasks)), key=lambda i: len(tasks[i]))
+        task = tasks[index]
+        if len(task) < 2:
+            break
+        half = (len(task) + 1) // 2
+        tasks[index:index + 1] = [task[:half], task[half:]]
+    return tasks
 
 
 def _stable_error(exc: BaseException) -> str:
@@ -161,16 +211,15 @@ def _run_serial(
     for key, cell in pending:
         pacer = Backoff(policy, token=key)
         for attempt in range(1, retries + 2):
-            try:
-                result, seconds = _execute_cell(cell)
-            except Exception as exc:
-                if attempt <= retries:
-                    report.retries += 1
-                    pacer.sleep()
-                    continue
-                fail(key, cell, "error", attempt, exc)
+            [(ok, value, seconds)] = _execute_task([cell])
+            if ok:
+                finish(key, cell, value, seconds)
+            elif attempt <= retries:
+                report.retries += 1
+                pacer.sleep()
+                continue
             else:
-                finish(key, cell, result, seconds)
+                fail(key, cell, "error", attempt, value)
             break
 
 
@@ -187,92 +236,98 @@ def _run_pooled(
 ) -> None:
     """Process-pool execution with watchdog, retry and crash recovery.
 
-    Runs in *rounds*: each round owns a fresh pool.  A round ends early
-    when a worker hangs past ``timeout`` (the pool is torn down and its
-    processes terminated) or dies (``BrokenProcessPool``).  Cells that
-    finished before the incident keep their results; cells that were in
-    flight during a crash are charged an attempt (one of them is the
-    killer, and the innocents win their retries on the next, clean
-    round); cells that merely lost their pool to someone else's timeout
-    are resubmitted free of charge.
+    Runs in *rounds*: each round owns a fresh pool and submits *tasks*,
+    each a list of cells one worker runs in order.  The first round is
+    program-affine (see :func:`_program_tasks`), so a worker compiles,
+    analyses and baselines each of its programs once; with a
+    ``timeout``, and in every retry round, each task is a single cell,
+    so the watchdog and the blame below stay per cell.  A cell that
+    raises is charged alone: the worker reports it and goes on to its
+    task's next cell.
+
+    A round ends early when a worker hangs past ``timeout`` (the pool is
+    torn down and its processes terminated) or dies
+    (``BrokenProcessPool``).  Tasks that finished before the incident
+    keep their results; every cell of a task in flight during a crash is
+    charged an attempt (one of them is the killer, and the innocents,
+    siblings in the killer's task included, win their retries in the
+    next, singleton round); cells that merely lost their pool to someone
+    else's timeout are resubmitted free of charge.
     """
     attempts: dict[str, int] = {key: 0 for key, _ in pending}
-    queue = list(pending)
+    if timeout is None:
+        tasks = _program_tasks(pending, jobs)
+    else:
+        tasks = [[item] for item in pending]
     pacer = Backoff(policy)
-    while queue:
+    while tasks:
         retry_queue: list[tuple[str, Cell]] = []
         dead = False        # pool unusable for the rest of this round
         blame_rest = False  # crash round: unfinished cells are charged
 
-        def charge(key: str, cell: Cell, kind: str,
-                   exc: BaseException) -> None:
-            attempts[key] += 1
-            if attempts[key] <= retries:
-                report.retries += 1
-                retry_queue.append((key, cell))
-            else:
-                fail(key, cell, kind, attempts[key], exc)
+        def charge(task: Task, kind: str, exc: BaseException) -> None:
+            for key, cell in task:
+                attempts[key] += 1
+                if attempts[key] <= retries:
+                    report.retries += 1
+                    retry_queue.append((key, cell))
+                else:
+                    fail(key, cell, kind, attempts[key], exc)
 
         pool = ProcessPoolExecutor(max_workers=jobs, mp_context=mp_context)
         try:
-            submitted: list[tuple[str, Cell, object]] = []
+            submitted: list[tuple[Task, object]] = []
             try:
-                for key, cell in queue:
+                for task in tasks:
+                    cells = [cell for _key, cell in task]
                     submitted.append(
-                        (key, cell, pool.submit(_execute_cell, cell))
+                        (task, pool.submit(_execute_task, cells))
                     )
             except BrokenProcessPool:
-                dead = True
-                blame_rest = True
-            for key, cell, future in submitted:
-                if not dead:
-                    try:
-                        result, seconds = future.result(timeout=timeout)
-                        finish(key, cell, result, seconds)
-                        continue
-                    except FuturesTimeout:
-                        dead = True
-                        charge(key, cell, "timeout", TimeoutError(
-                            f"no result within {timeout:g}s "
-                            f"(worker terminated)"
-                        ))
-                        continue
-                    except BrokenProcessPool as exc:
-                        dead = True
-                        blame_rest = True
-                        charge(key, cell, "crash", exc)
-                        continue
-                    except Exception as exc:
-                        charge(key, cell, "error", exc)
-                        continue
-                # pool is gone: harvest what finished, reschedule the rest
-                if future.done() and not future.cancelled():
-                    try:
-                        result, seconds = future.result(timeout=0)
-                        finish(key, cell, result, seconds)
-                        continue
-                    except BrokenProcessPool as exc:
-                        if blame_rest:
-                            charge(key, cell, "crash", exc)
-                        else:
-                            retry_queue.append((key, cell))
-                        continue
-                    except Exception as exc:
-                        charge(key, cell, "error", exc)
-                        continue
-                future.cancel()
-                if blame_rest:
-                    charge(key, cell, "crash",
-                           BrokenProcessPool("worker pool died"))
-                else:
-                    retry_queue.append((key, cell))
+                dead = blame_rest = True
+            for task, future in submitted:
+                if dead and (not future.done() or future.cancelled()):
+                    # pool is gone: reschedule what did not finish
+                    future.cancel()
+                    if blame_rest:
+                        charge(task, "crash",
+                               BrokenProcessPool("worker pool died"))
+                    else:
+                        retry_queue.extend(task)
+                    continue
+                try:
+                    outcomes = future.result(timeout=0 if dead else timeout)
+                except FuturesTimeout:
+                    dead = True
+                    charge(task, "timeout", TimeoutError(
+                        f"no result within {timeout:g}s "
+                        f"(worker terminated)"
+                    ))
+                    continue
+                except BrokenProcessPool as exc:
+                    if not dead:
+                        dead = blame_rest = True
+                    if blame_rest:
+                        charge(task, "crash", exc)
+                    else:
+                        retry_queue.extend(task)
+                    continue
+                except Exception as exc:
+                    charge(task, "error", exc)
+                    continue
+                for item, (ok, value, seconds) in zip(task, outcomes):
+                    if ok:
+                        finish(*item, value, seconds)
+                    else:
+                        charge([item], "error", value)
             # cells we never managed to submit: free retry
-            retry_queue.extend(queue[len(submitted):])
+            for task in tasks[len(submitted):]:
+                retry_queue.extend(task)
         finally:
             _shutdown_pool(pool, force=dead)
         if retry_queue:
             pacer.sleep()
-        queue = retry_queue
+        tasks = [[item] for item in retry_queue]
 
 
 def execute_cells(
@@ -314,6 +369,15 @@ def execute_cells(
     results: dict[str, object] = {}
     failed: dict[str, CellFailure] = {}
 
+    position = {key: index for index, key in enumerate(unique, start=1)}
+
+    def emit(key: str, cell: Cell, source: str, seconds: float) -> None:
+        if progress is not None:
+            progress(CellEvent(
+                index=position[key], total=len(unique), label=cell.label,
+                source=source, seconds=seconds,
+            ))
+
     pending: list[tuple[str, Cell]] = []
     for key, cell in unique.items():
         cacheable = getattr(cell, "cacheable", True)
@@ -321,6 +385,7 @@ def execute_cells(
         if cached is not None:
             results[key] = cached
             report.cache_hits += 1
+            emit(key, cell, "cache", 0.0)
         else:
             pending.append((key, cell))
 
@@ -330,6 +395,7 @@ def execute_cells(
         report.cell_seconds[key] = seconds
         if cache is not None and getattr(cell, "cacheable", True):
             cache.put(cell, result)
+        emit(key, cell, "run", seconds)
 
     def fail(key: str, cell: Cell, kind: str, attempts: int,
              exc: BaseException) -> None:
@@ -337,6 +403,7 @@ def execute_cells(
             key=key, label=cell.label, kind=kind, attempts=attempts,
             error=_stable_error(exc),
         )
+        emit(key, cell, "failed", 0.0)
 
     if pending:
         policy = _backoff_policy(backoff)
@@ -351,24 +418,6 @@ def execute_cells(
     report.failures = {
         key: failed[key] for key in unique if key in failed
     }
-
-    if progress is not None:
-        total = len(unique)
-        for index, (key, cell) in enumerate(unique.items(), start=1):
-            seconds = report.cell_seconds.get(key)
-            if key in report.failures:
-                source = "failed"
-            elif seconds is None:
-                source = "cache"
-            else:
-                source = "run"
-            progress(CellEvent(
-                index=index,
-                total=total,
-                label=cell.label,
-                source=source,
-                seconds=seconds or 0.0,
-            ))
 
     report.elapsed = time.perf_counter() - start
     return results, report

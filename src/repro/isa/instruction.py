@@ -7,11 +7,18 @@ from dataclasses import dataclass
 from repro.isa.opcodes import (
     CONTROL_CLASSES,
     INDIRECT_CLASSES,
+    OP_TABLE,
     Fmt,
     InstrClass,
     Op,
-    spec,
 )
+
+# Per-op metadata behind the properties below: one dict probe instead
+# of a spec() call on the translator's and the analyses' hot paths.
+_ICLASS = {op: sp.iclass for op, sp in OP_TABLE.items()}
+_FMT = {op: sp.fmt for op, sp in OP_TABLE.items()}
+_CONTROL = {op: sp.iclass in CONTROL_CLASSES for op, sp in OP_TABLE.items()}
+_INDIRECT = {op: sp.iclass in INDIRECT_CLASSES for op, sp in OP_TABLE.items()}
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,21 +51,21 @@ class Instruction:
 
     @property
     def iclass(self) -> InstrClass:
-        return spec(self.op).iclass
+        return _ICLASS[self.op]
 
     @property
     def fmt(self) -> Fmt:
-        return spec(self.op).fmt
+        return _FMT[self.op]
 
     @property
     def is_control(self) -> bool:
         """True if this instruction (potentially) transfers control."""
-        return self.iclass in CONTROL_CLASSES
+        return _CONTROL[self.op]
 
     @property
     def is_indirect(self) -> bool:
         """True for indirect jumps, indirect calls and returns."""
-        return self.iclass in INDIRECT_CLASSES
+        return _INDIRECT[self.op]
 
     @property
     def writes_reg(self) -> int | None:

@@ -85,6 +85,9 @@ class Fmt(enum.Enum):
     JALR = "jalr"      # rd, rs
     NONE = "none"      # no operands (ret, syscall, halt)
 
+    # Identity hashing, as for InstrClass.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class OpSpec:
@@ -152,6 +155,9 @@ class Op(enum.Enum):
     RET = "ret"
     SYSCALL = "syscall"
     HALT = "halt"
+
+    # Identity hashing, as for InstrClass.
+    __hash__ = object.__hash__
 
 
 _R = lambda m, f, c: OpSpec(m, Fmt.R3, 0, f, c)  # noqa: E731

@@ -5,7 +5,7 @@ The threaded fast path only bumps a plan's ``runs`` counter; the host's
 class counts and the cycle model later.  These tests pin where it folds
 (cache eviction, run end), that folded results equal the oracle's, and
 the two hot-path helpers the fast path relies on: the exit handler each
-fragment carries, and identity hashing of the cost enums.
+fragment carries, and identity hashing of the cost and ISA enums.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from collections import Counter
 
 from repro.host.costs import Category, HostModel
 from repro.host.profile import SIMPLE, X86_P4
-from repro.isa.opcodes import InstrClass
+from repro.isa.opcodes import Fmt, InstrClass, Op
 from repro.machine.engine import BlockLedger
 from repro.sdt.config import SDTConfig
 from repro.sdt.fragment import ExitKind
@@ -121,7 +121,7 @@ class TestExitHandlers:
 
 class TestIdentityHashing:
     def test_enums_hash_by_identity(self):
-        for enum_cls in (InstrClass, Category):
+        for enum_cls in (InstrClass, Category, Op, Fmt):
             assert enum_cls.__hash__ is object.__hash__
             for member in enum_cls:
                 assert hash(member) == object.__hash__(member)

@@ -9,6 +9,7 @@ and ``sleep`` simulates a hang for the watchdog to kill.
 
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.eval.experiments import ExperimentSpec
 from repro.eval.parallel import (
     CellFailure,
     MissingCellResult,
+    _program_tasks,
     _stable_error,
     execute_cells,
     run_experiments,
@@ -53,6 +55,29 @@ class FakeCell:
 
 class UncacheableCell(FakeCell):
     cacheable = False
+
+
+class ProgramCell(FakeCell):
+    """A fake cell of one guest program; ``mode="pid"`` returns its pid."""
+
+    def __init__(self, program, name, mode="ok", secs=0.0):
+        super().__init__(name, mode, secs)
+        self.workload_name = program
+
+    def execute(self):
+        result = super().execute()
+        return os.getpid() if self.mode == "pid" else result
+
+
+#: log of cell executions and progress events, in the order they happen
+#: (serial runs only: worker processes have their own copy)
+SERIAL_LOG = []
+
+
+class LoggingCell(FakeCell):
+    def execute(self):
+        SERIAL_LOG.append(f"run {self.name}")
+        return super().execute()
 
 
 class FakeCache:
@@ -115,6 +140,24 @@ class TestSerialExecution:
         assert {event.index for event in events} == {1, 2}
 
 
+class TestProgressTiming:
+    def test_events_fire_as_cells_finish(self):
+        SERIAL_LOG.clear()
+        cells = [LoggingCell("a"), LoggingCell("b")]
+        execute_cells(cells, progress=lambda event: SERIAL_LOG.append(
+            f"{event.source} {event.index}/{event.total}"))
+        assert SERIAL_LOG == ["run a", "run 1/2", "run b", "run 2/2"]
+
+    def test_cache_hits_fire_at_lookup(self):
+        SERIAL_LOG.clear()
+        cache = FakeCache()
+        cache.store["key-b"] = "cached-b"
+        cells = [LoggingCell("a"), LoggingCell("b")]
+        execute_cells(cells, cache=cache, progress=lambda event:
+                      SERIAL_LOG.append(f"{event.source} {event.index}"))
+        assert SERIAL_LOG == ["cache 2", "run a", "run 1"]
+
+
 class TestPooledExecution:
     def test_parallel_ok(self):
         cells = [FakeCell(str(i)) for i in range(5)]
@@ -158,6 +201,106 @@ class TestPooledExecution:
         )
         assert results == {}
         assert report.failures["key-hang"].kind == "timeout"
+
+
+class RecordingPool(ProcessPoolExecutor):
+    """Pool that records how many cells each submitted task holds."""
+
+    task_sizes = []
+
+    def submit(self, fn, cells, *args, **kwargs):
+        RecordingPool.task_sizes.append(len(cells))
+        return super().submit(fn, cells, *args, **kwargs)
+
+
+@pytest.fixture
+def task_sizes(monkeypatch):
+    import repro.eval.parallel as parallel
+
+    RecordingPool.task_sizes = []
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
+    return RecordingPool.task_sizes
+
+
+def program_batch(programs, per_program, mode="ok"):
+    return [ProgramCell(f"p{p}", f"p{p}-{i}", mode=mode)
+            for p in range(programs) for i in range(per_program)]
+
+
+class TestGroupedDispatch:
+    def test_each_program_runs_in_one_process(self, task_sizes):
+        cells = program_batch(4, 3, mode="pid")
+        results, report = execute_cells(cells, jobs=2)
+        assert report.ok and len(results) == 12
+        for p in range(4):
+            pids = {results[f"key-p{p}-{i}"] for i in range(3)}
+            assert len(pids) == 1
+        assert task_sizes == [3, 3, 3, 3]
+
+    def test_erroring_cell_retried_alone(self, task_sizes):
+        cells = program_batch(4, 1)
+        cells[1:1] = [ProgramCell("p0", "bad", mode="error"),
+                      ProgramCell("p0", "after")]
+        results, report = execute_cells(cells, jobs=2,
+                                        retries=1, backoff=0.0)
+        # the bad cell's siblings keep their first-round results
+        assert results["key-p0-0"] == "result-p0-0"
+        assert results["key-after"] == "result-after"
+        assert list(report.failures) == ["key-bad"]
+        assert report.failures["key-bad"].attempts == 2
+        assert report.retries == 1
+        assert task_sizes == [3, 1, 1, 1, 1]
+
+    def test_crashing_cell_quarantined_alone(self, task_sizes):
+        # the crasher sleeps before dying so the instant cells of the
+        # other tasks, and its siblings in the singleton retry round,
+        # are always harvested first
+        siblings = [ProgramCell("p0", f"sib{i}") for i in range(6)]
+        cells = program_batch(4, 1)
+        cells[0:1] = siblings[:3] + [
+            ProgramCell("p0", "die", mode="crash", secs=0.5)
+        ] + siblings[3:]
+        results, report = execute_cells(cells, jobs=2,
+                                        retries=1, backoff=0.01)
+        for sibling in siblings:
+            assert results[sibling.key()] == f"result-{sibling.name}"
+        assert list(report.failures) == ["key-die"]
+        failure = report.failures["key-die"]
+        assert (failure.kind, failure.attempts) == ("crash", 2)
+        # round 1 loses the whole p0 task with its worker and charges
+        # its seven cells; round 2 retries each alone (regrouped, the
+        # crasher would take a sibling down with it), and only the
+        # crasher fails again
+        assert report.retries == 7
+        assert task_sizes == [7, 1, 1, 1] + [1] * 7
+
+    def test_timeout_keeps_one_cell_per_task(self, task_sizes):
+        cells = program_batch(2, 3)
+        results, report = execute_cells(cells, jobs=2, timeout=30.0)
+        assert report.ok and len(results) == 6
+        assert task_sizes == [1] * 6
+
+    def test_few_programs_split_to_feed_workers(self, task_sizes):
+        cells = program_batch(1, 5) + [ProgramCell("q", "q-0"),
+                                       ProgramCell("q", "q-1")]
+        results, report = execute_cells(cells, jobs=2)
+        assert report.ok and len(results) == 7
+        # p0 splits to 3+2, then its larger half to 2+1: four tasks
+        assert task_sizes == [2, 1, 2, 2]
+
+    def test_split_keeps_declared_order(self):
+        pending = [(f"k{i}", ProgramCell("p", str(i))) for i in range(6)]
+        pending.append(("lone", FakeCell("lone")))
+        tasks = _program_tasks(pending, jobs=2)
+        # 6 -> 3+3, then the first of the tied halves -> 2+1
+        assert [[key for key, _cell in task] for task in tasks] == [
+            ["k0", "k1"], ["k2"], ["k3", "k4", "k5"], ["lone"],
+        ]
+
+    def test_split_stops_at_single_cells(self):
+        pending = [(f"k{i}", ProgramCell("p", str(i))) for i in range(3)]
+        tasks = _program_tasks(pending, jobs=8)
+        assert [len(task) for task in tasks] == [1, 1, 1]
 
 
 class TestCaching:

@@ -5,7 +5,15 @@ from hypothesis import given, strategies as st
 
 from repro.isa.encoding import DecodeError, EncodeError, decode, encode
 from repro.isa.instruction import Instruction
-from repro.isa.opcodes import Fmt, InstrClass, OP_TABLE, Op, spec
+from repro.isa.opcodes import (
+    CONTROL_CLASSES,
+    INDIRECT_CLASSES,
+    Fmt,
+    InstrClass,
+    OP_TABLE,
+    Op,
+    spec,
+)
 
 
 class TestEncodeBasics:
@@ -102,6 +110,14 @@ class TestOpcodeTable:
         assert Instruction(Op.HALT).is_control
         assert not Instruction(Op.ADD).is_control
         assert not Instruction(Op.SYSCALL).is_control
+
+    def test_instruction_metadata_matches_spec_for_every_op(self):
+        for op, sp in OP_TABLE.items():
+            instr = Instruction(op)
+            assert instr.iclass is sp.iclass
+            assert instr.fmt is sp.fmt
+            assert instr.is_control == (sp.iclass in CONTROL_CLASSES)
+            assert instr.is_indirect == (sp.iclass in INDIRECT_CLASSES)
 
 
 # -- property-based roundtrip ------------------------------------------------
